@@ -171,6 +171,84 @@ std::vector<ActionDisjunct> decompose_action(const Expr& action) {
   return out;
 }
 
+namespace {
+
+// Each element is one conjunct list; the lists are the disjuncts.
+using ConjunctLists = std::vector<std::vector<Expr>>;
+
+std::optional<ConjunctLists> distribute_conjunction(const Expr& e, std::size_t max_disjuncts);
+
+// The branches of a \/ that sits inside a conjunction. A \/ mentioning no
+// primed variable stays one guard. In one that does, each primed branch is
+// distributed on its own, and the primed-free branches stay together as one
+// guard (placed at the first of them), so they still short-circuit left to
+// right as written.
+std::optional<ConjunctLists> distribute_disjunction(const Expr& e, std::size_t max_disjuncts) {
+  if (is_state_function(e)) return ConjunctLists{{e}};
+  ConjunctLists out;
+  std::vector<Expr> guards;
+  std::size_t guard_at = 0;
+  for (const Expr& b : flatten_or(e)) {
+    if (is_state_function(b)) {
+      if (guards.empty()) {
+        guard_at = out.size();
+        out.emplace_back();
+      }
+      guards.push_back(b);
+      continue;
+    }
+    std::optional<ConjunctLists> bd = distribute_conjunction(b, max_disjuncts);
+    if (!bd) return std::nullopt;
+    for (std::vector<Expr>& c : *bd) out.push_back(std::move(c));
+    if (out.size() > max_disjuncts) return std::nullopt;
+  }
+  if (!guards.empty()) {
+    out[guard_at] = {guards.size() == 1 ? guards[0] : ex::lor(std::move(guards))};
+  }
+  return out;
+}
+
+std::optional<ConjunctLists> distribute_conjunction(const Expr& e, std::size_t max_disjuncts) {
+  ConjunctLists out = {{}};
+  for (const Expr& c : flatten_and(e)) {
+    if (c.node().kind != ExprKind::Or) {
+      for (std::vector<Expr>& conj : out) conj.push_back(c);
+      continue;
+    }
+    std::optional<ConjunctLists> branches = distribute_disjunction(c, max_disjuncts);
+    if (!branches) return std::nullopt;
+    if (out.size() * branches->size() > max_disjuncts) return std::nullopt;
+    ConjunctLists next;
+    next.reserve(out.size() * branches->size());
+    for (const std::vector<Expr>& base : out) {
+      for (const std::vector<Expr>& b : *branches) {
+        std::vector<Expr> merged = base;
+        merged.insert(merged.end(), b.begin(), b.end());
+        next.push_back(std::move(merged));
+      }
+    }
+    out = std::move(next);
+  }
+  return out;
+}
+
+}  // namespace
+
+std::optional<std::vector<ActionDisjunct>> decompose_distributed(const Expr& action,
+                                                                 std::size_t max_disjuncts) {
+  ConjunctLists lists;
+  for (const Expr& d : flatten_or(action)) {
+    std::optional<ConjunctLists> dl = distribute_conjunction(d, max_disjuncts);
+    if (!dl) return std::nullopt;
+    for (std::vector<Expr>& c : *dl) lists.push_back(std::move(c));
+    if (lists.size() > max_disjuncts) return std::nullopt;
+  }
+  std::vector<ActionDisjunct> out;
+  out.reserve(lists.size());
+  for (std::vector<Expr>& c : lists) out.push_back(build_disjunct(ex::land(std::move(c))));
+  return out;
+}
+
 ResidualSchedule schedule_residual(const std::vector<std::vector<VarId>>& needs,
                                    const std::vector<VarId>& enumerate) {
   ResidualSchedule sched;

@@ -67,6 +67,18 @@ struct ActionDisjunct {
 /// worst case a disjunct has no assignments and everything in `residual`.
 std::vector<ActionDisjunct> decompose_action(const Expr& action);
 
+/// decompose_action after distributing each nested \/ that mentions a
+/// primed variable over the conjunction around it, so that each of its
+/// primed branches becomes a disjunct with its own guards and assignments.
+/// A \/ that mentions no primed variable stays one guard, and so do the
+/// primed-free branches of a \/ that is distributed: a guard keeps its
+/// left-to-right short-circuit, so `q = <<>> \/ Head(q) = 0` never takes
+/// Head of an empty sequence. The top-level \/ splits as in
+/// decompose_action, so an action without nested \/ decomposes exactly as
+/// there. Returns nullopt once the expansion would exceed `max_disjuncts`.
+std::optional<std::vector<ActionDisjunct>> decompose_distributed(const Expr& action,
+                                                                 std::size_t max_disjuncts = 4096);
+
 /// Builds the pruned-enumeration schedule for a disjunct's residual over
 /// the variable set `enumerate` (the variables successor generation will
 /// range over; any needed variable outside it is treated as already bound

@@ -21,7 +21,10 @@ ActionSuccessors::ActionSuccessors(const VarTable& vars, Expr action, std::vecto
     : vars_(&vars), action_(std::move(action)), space_(vars) {
   std::vector<bool> is_pinned(vars.size(), false);
   for (VarId v : pinned) is_pinned[v] = true;
-  for (ActionDisjunct& d : decompose_action(action_)) {
+  // Distribute nested disjunctions (see the header); past the cap, split
+  // only the source disjuncts.
+  std::optional<std::vector<ActionDisjunct>> distributed = decompose_distributed(action_);
+  for (ActionDisjunct& d : distributed ? std::move(*distributed) : decompose_action(action_)) {
     CompiledDisjunct cd;
     cd.parts = std::move(d);
     std::vector<bool> assigned(vars.size(), false);
@@ -55,7 +58,7 @@ bool ActionSuccessors::run(const State& s, bool existential_only,
   // disjuncts are filtered here so callers see each successor once.
   //
   // Determinism contract: for a fixed `s`, successors are visited in a
-  // fixed order — disjuncts in decompose_action order, completions in the
+  // fixed order — disjuncts in decompose_distributed order, completions in the
   // order of the precompiled ResidualSchedule (the pruned search visits
   // exactly the surviving leaves of the flat odometer over
   // reversed(sched.order), in that odometer's order — pruning only skips,

@@ -7,6 +7,24 @@
 // variables by evaluation, and only genuinely unconstrained primed
 // variables are enumerated over their domains.
 //
+// Nested disjunctions are distributed before the decomposition
+// (expr/analysis decompose_distributed), up to 4096 disjuncts: a \/ inside
+// a conjunct whose branches mention primed variables, such as the
+// Enq \/ Deq inside a fairness step <A>_v or the (Put \/ Get) of a
+// stuttering queue environment, becomes one disjunct per branch. Each
+// branch then carries its own guards and assignments, and a variable one
+// branch assigns is not enumerated in another. A \/ with no primed
+// variable, and the primed-free branches of a distributed one, stay one
+// guard and keep their short-circuit. Each primed branch, however, is
+// evaluated on its own, as TLC explores it: in x' = 1 /\ (q = <<>> \/
+// y' = Head(q)) the second branch takes Head(<<>>) and throws at
+// q = <<>>, although the first branch holds there. Past the cap only the
+// source disjuncts are split. Lint, footprints, prefix machines and the
+// tree ENABLED keep the source split: they report on, or compile programs
+// for, the disjuncts the author wrote, and distributing there would turn
+// dead branches of a live action into dead actions and multiply the
+// compiled prefix-machine programs.
+//
 // TLA actions have no frame condition: a primed variable that does not
 // occur in a disjunct is unconstrained and is enumerated over its domain.
 // Successor generation therefore produces exactly the A-successors within
@@ -35,7 +53,11 @@ class ActionSuccessors {
   /// tracked elsewhere (e.g. other components' hidden variables in a
   /// product exploration). A pinned variable that occurs primed in a
   /// residual constraint is still enumerated, so pinning never loses
-  /// genuine constraints.
+  /// genuine constraints. "Disjunct" means each distributed disjunct: in
+  /// x < 2 /\ (x' = x + 1 \/ (x' = 0 /\ y' = 3)) a pinned y keeps its
+  /// value in the first branch and is assigned 3 in the second. Past the
+  /// distribution cap the rule applies to the source disjuncts, so a
+  /// pinned variable that a nested \/ mentions primed is enumerated there.
   ActionSuccessors(const VarTable& vars, Expr action, std::vector<VarId> pinned = {});
 
   const Expr& action() const { return action_; }
@@ -56,7 +78,8 @@ class ActionSuccessors {
   /// True iff s has at least one successor (= ENABLED action at s).
   bool enabled(const State& s) const;
 
-  /// True iff some disjunct's guards (the primed-free conjuncts) hold at s.
+  /// True iff some distributed disjunct's guards (its primed-free
+  /// conjuncts) hold at s.
   /// Weaker than enabled(): guards may pass while every completion fails
   /// the residual or an assignment leaves the declared space. Coverage
   /// reporting uses this to distinguish "the precondition held but the

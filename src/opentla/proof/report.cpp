@@ -13,7 +13,7 @@ bool ProofReport::all_discharged() const {
 }
 
 double ProofReport::total_millis() const {
-  return std::accumulate(obligations.begin(), obligations.end(), 0.0,
+  return std::accumulate(obligations.begin(), obligations.end(), h1_build_millis,
                          [](double acc, const Obligation& ob) { return acc + ob.millis; });
 }
 
@@ -33,6 +33,7 @@ std::string ProofReport::to_string() const {
     os << "\n";
     if (!ob.detail.empty()) os << "        " << ob.detail << "\n";
   }
+  if (h1_build_millis > 0) os << "  [shared] H1 product build  (" << h1_build_millis << " ms)\n";
   bool refuted = false;
   for (const Obligation& ob : obligations) {
     if (!ob.discharged && !ob.inconclusive) refuted = true;
@@ -44,12 +45,12 @@ std::string ProofReport::to_string() const {
   return os.str();
 }
 
-ObligationTimer::ObligationTimer(Obligation& ob)
-    : ob_(&ob), start_(std::chrono::steady_clock::now()) {}
+ObligationTimer::ObligationTimer(double& millis)
+    : millis_(&millis), start_(std::chrono::steady_clock::now()) {}
 
 ObligationTimer::~ObligationTimer() {
   const auto end = std::chrono::steady_clock::now();
-  ob_->millis = std::chrono::duration<double, std::milli>(end - start_).count();
+  *millis_ = std::chrono::duration<double, std::milli>(end - start_).count();
 }
 
 }  // namespace opentla

@@ -15,6 +15,10 @@ namespace opentla {
 struct ProofReport {
   std::string theorem;  // rendered conclusion, e.g. "(QE1 +> QM1) /\ ... => (QE +> QM)"
   std::vector<Obligation> obligations;
+  /// Time to build H1's product, which every H1[E_i] target then
+  /// searches (0 when the proof built none). Not an obligation; rendered
+  /// after them and counted in total_millis().
+  double h1_build_millis = 0.0;
 
   bool all_discharged() const;
   double total_millis() const;
@@ -25,16 +29,18 @@ struct ProofReport {
   Obligation& add(Obligation ob);
 };
 
-/// Scoped wall-clock timer filling an obligation's `millis`.
+/// Scoped wall-clock timer filling an obligation's `millis` (or any other
+/// duration field).
 class ObligationTimer {
  public:
-  explicit ObligationTimer(Obligation& ob);
+  explicit ObligationTimer(Obligation& ob) : ObligationTimer(ob.millis) {}
+  explicit ObligationTimer(double& millis);
   ~ObligationTimer();
   ObligationTimer(const ObligationTimer&) = delete;
   ObligationTimer& operator=(const ObligationTimer&) = delete;
 
  private:
-  Obligation* ob_;
+  double* millis_;
   std::chrono::steady_clock::time_point start_;
 };
 

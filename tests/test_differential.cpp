@@ -25,6 +25,11 @@
 // overflow, floored-mod domain, unbound locals) — identical values or
 // byte-identical error messages.
 //
+// An eighth axis pins the distribution of nested disjunctions in successor
+// generation: on random actions with a \/ inside a conjunct, and on <A>_v
+// steps, successor sets and enabled() must equal brute force and the tree
+// ENABLED, which keeps the source split.
+//
 // Every assertion carries the failing seed and case index so a failure is
 // reproducible in isolation.
 
@@ -47,6 +52,7 @@
 #include "opentla/state/arena.hpp"
 #include "opentla/state/sharded_store.hpp"
 #include "opentla/state/state.hpp"
+#include "opentla/tla/spec.hpp"
 #include "opentla/vm/compile.hpp"
 #include "opentla/vm/interp.hpp"
 
@@ -219,9 +225,73 @@ class ActionGen {
     return ex::lor(std::move(ds));
   }
 
+  /// Disjuncts with a \/ nested among their conjuncts, sometimes two levels
+  /// deep: the shape successor generation distributes into one disjunct
+  /// per branch.
+  Expr nested_action() {
+    const int disjuncts = 1 + pick(2);
+    std::vector<Expr> ds;
+    for (int i = 0; i < disjuncts; ++i) ds.push_back(nested_disjunct(/*depth=*/2));
+    return ex::lor(std::move(ds));
+  }
+
+  /// <A>_sub for an A of two or three disjuncts (action_changing): the step
+  /// every WF/SF condition and refinement ENABLED query runs on.
+  Expr changing_action() {
+    const int disjuncts = 2 + pick(2);
+    std::vector<Expr> ds;
+    for (int i = 0; i < disjuncts; ++i) {
+      ds.push_back(pick(2) == 0 ? disjunct() : nested_disjunct(/*depth=*/1));
+    }
+    return action_changing(ex::lor(std::move(ds)), pool());
+  }
+
  private:
   int pick(int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng_); }
   VarId rv() { return v_[pick(3)]; }
+
+  Expr nested_disjunct(int depth) {
+    const int n = pick(3);
+    std::vector<Expr> cs;
+    for (int j = 0; j < n; ++j) cs.push_back(conjunct());
+    std::vector<Expr> branches;
+    const int b = 2 + pick(2);
+    for (int j = 0; j < b; ++j) {
+      switch (pick(6)) {
+        case 0:
+          push_guarded_partial(branches);
+          break;
+        case 1:
+          if (depth > 1) {
+            branches.push_back(nested_disjunct(depth - 1));
+            break;
+          }
+          [[fallthrough]];
+        default:
+          branches.push_back(disjunct());
+      }
+    }
+    cs.insert(cs.begin() + pick(n + 1), ex::lor(std::move(branches)));
+    return ex::land(std::move(cs));
+  }
+
+  /// Branches that take <<0, 1>>[a], undefined at a = 0, only where an
+  /// earlier test rules a = 0 out, as left-to-right evaluation reads them:
+  /// either the guard pair a = 0 \/ <<0, 1>>[a] = k, or the single branch
+  /// a # 0 /\ b' = <<0, 1>>[a]. Successor generation must not evaluate the
+  /// index where eval_action does not.
+  void push_guarded_partial(std::vector<Expr>& branches) {
+    const VarId a = rv();
+    const Expr at_a = ex::index(ex::make_tuple({ex::integer(0), ex::integer(1)}), ex::var(a));
+    if (pick(2) == 0) {
+      branches.push_back(ex::eq(ex::var(a), ex::integer(0)));
+      branches.push_back(ex::eq(at_a, val(a)));
+    } else {
+      branches.push_back(ex::land(ex::neq(ex::var(a), ex::integer(0)),
+                                  ex::eq(ex::primed_var(rv()), at_a)));
+    }
+  }
+
   Expr val(VarId v) { return ex::integer(pick(v == v_[2] ? 2 : 3)); }
 
   Expr conjunct() { return conjunct_over({v_[0], v_[1], v_[2]}); }
@@ -613,6 +683,88 @@ TEST_P(StoreVsMapHarness, InternVerdictsIdsAndRoundTripsMatchMapReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreVsMapHarness, ::testing::Range(0u, kSeeds));
+
+/// Eighth differential axis: nested disjunctions. ActionSuccessors
+/// distributes a \/ nested inside a conjunct into one disjunct per primed
+/// branch (decompose_distributed, up to its cap), while the tree's
+/// eval_enabled keeps the source split. From every state of the 18-state
+/// universe, the successor set must equal brute force (eval_action against
+/// every state) and enabled() must equal both eval_enabled and "has a
+/// successor". Some branches are partial and only safe under left-to-right
+/// evaluation, so an exception here is a failure too. Returns the number
+/// of states with a successor.
+std::size_t expect_matches_brute_force(const VarTable& vars, const Expr& act) {
+  const StateSpace space(vars);
+  const ActionSuccessors succ(vars, act);
+  std::size_t enabled_states = 0;
+  auto lt = [&](const State& a, const State& b) { return a.to_string(vars) < b.to_string(vars); };
+  space.for_each_state([&](const State& s) {
+    std::vector<State> expected;
+    space.for_each_state([&](const State& t) {
+      if (eval_action(act, vars, s, t)) expected.push_back(t);
+    });
+    std::vector<State> got = succ.successors(s);
+    std::sort(expected.begin(), expected.end(), lt);
+    std::sort(got.begin(), got.end(), lt);
+    ASSERT_EQ(got, expected) << "action " << act.to_string(vars) << " at " << s.to_string(vars);
+    const bool enabled = succ.enabled(s);
+    ASSERT_EQ(enabled, eval_enabled(act, vars, s))
+        << "action " << act.to_string(vars) << " at " << s.to_string(vars);
+    ASSERT_EQ(enabled, !expected.empty());
+    enabled_states += enabled ? 1 : 0;
+  });
+  return enabled_states;
+}
+
+class NestedDisjunctionHarness : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(NestedDisjunctionHarness, DistributedSuccessorsMatchBruteForceAndTreeEnabled) {
+  const unsigned seed = GetParam();
+  ActionGen gen(seed);
+  unsigned live_cases = 0;
+  for (unsigned c = 0; c < kCasesPerSeed; ++c) {
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " case=" + std::to_string(c));
+    const std::size_t enabled_states = expect_matches_brute_force(
+        gen.vars(), c % 2 == 0 ? gen.nested_action() : gen.changing_action());
+    if (HasFatalFailure()) return;
+    live_cases += enabled_states > 0 ? 1 : 0;
+  }
+  // Non-vacuity: most random actions fire from some state.
+  EXPECT_GT(live_cases, kCasesPerSeed / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NestedDisjunctionHarness, ::testing::Range(0u, kSeeds));
+
+TEST(NestedDisjunctionCap, ExpansionPastTheCapKeepsTheSourceSplitAndAgrees) {
+  // /\ of 13 two-way disjunctions distributes into 2^13 = 8192 disjuncts,
+  // past the 4096 cap: the generator decomposes the action as written.
+  ActionGen gen(0);
+  const std::vector<VarId> v = gen.vars().all_vars();
+  std::vector<Expr> conjuncts;
+  for (std::int64_t k = 0; k < 13; ++k) {
+    const VarId a = v[static_cast<std::size_t>(k % 3)];
+    const VarId b = v[static_cast<std::size_t>((k + 1) % 3)];
+    conjuncts.push_back(ex::lor(ex::neq(ex::primed_var(a), ex::integer(k % 2)),
+                                ex::eq(ex::primed_var(b), ex::var(a))));
+  }
+  const Expr act = ex::land(std::move(conjuncts));
+  ASSERT_FALSE(decompose_distributed(act).has_value());
+  EXPECT_GT(expect_matches_brute_force(gen.vars(), act), 0u);  // non-vacuous
+
+  // The pinned-variable rule then applies to the one source disjunct, whose
+  // residual mentions z': a pinned z is still enumerated, so pinning
+  // changes nothing here.
+  const VarId z = v[2];
+  const ActionSuccessors pinned(gen.vars(), act, {z});
+  const ActionSuccessors unpinned(gen.vars(), act);
+  std::size_t z_moves = 0;
+  StateSpace(gen.vars()).for_each_state([&](const State& s) {
+    const std::vector<State> succ = pinned.successors(s);
+    EXPECT_EQ(succ, unpinned.successors(s)) << s.to_string(gen.vars());
+    for (const State& t : succ) z_moves += t[z] == s[z] ? 0 : 1;
+  });
+  EXPECT_GT(z_moves, 0u);  // non-vacuous: some successor changes z
+}
 
 }  // namespace
 }  // namespace opentla

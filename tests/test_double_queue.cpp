@@ -89,6 +89,13 @@ TEST_F(DoubleQueueTest, CompositionTheoremProvesFormulaFour) {
     saw_h2b |= ob.id == "H2b";
   }
   EXPECT_TRUE(saw_h1 && saw_h2a && saw_h2b);
+  // H1's product build is shared by both H1 targets: charged to the proof,
+  // not hidden outside every timer.
+  EXPECT_GT(report.h1_build_millis, 0.0);
+  double total_ms = report.h1_build_millis;
+  for (const Obligation& ob : report.obligations) total_ms += ob.millis;
+  EXPECT_DOUBLE_EQ(report.total_millis(), total_ms);
+  EXPECT_NE(report.to_string().find("[shared] H1 product build"), std::string::npos);
 }
 
 TEST_F(DoubleQueueTest, FormulaThreeWithoutGIsInvalid) {

@@ -38,6 +38,22 @@ TEST(LintTest, CleanModuleHasNoFindings) {
   EXPECT_TRUE(lint_src(src).empty());
 }
 
+TEST(LintTest, NestedDisjunctionIsJudgedAsWritten) {
+  // Step is one live disjunct; two of its nested branches can never fire.
+  // Lint keeps the source split, so the dead branches are not reported as
+  // a dead action (OTL008) or an unsatisfiable guard (OTL009).
+  const std::string src =
+      "MODULE Nested\n"
+      "VARIABLES x \\in 0..3, y \\in 0..3\n"
+      "INIT x = 0 /\\ y = 0\n"
+      "ACTION Step == x < 3 /\\ ((x' = x + 1 /\\ y' = y) \\/ (x > 5 /\\ x' = 0 /\\ y' = y)"
+      " \\/ (1 > 2 /\\ x' = 0 /\\ y' = y))\n"
+      "NEXT Step\n";
+  const std::vector<Diagnostic> diags = lint_src(src);
+  EXPECT_TRUE(diags.empty()) << (diags.empty() ? "" : diags.front().code + " " +
+                                                          diags.front().message);
+}
+
 TEST(LintTest, OTL001UnusedVariable) {
   const std::string src =
       "MODULE M\n"

@@ -51,6 +51,21 @@ TEST(ProofReport, QedWhenEverythingDischarges) {
   EXPECT_NE(report.to_string().find("Q.E.D."), std::string::npos);
 }
 
+TEST(ProofReport, H1BuildIsRenderedAndTotalled) {
+  ProofReport report;
+  report.theorem = "T";
+  Obligation ob;
+  ob.id = "H1[E]";
+  ob.discharged = true;
+  ob.millis = 2.0;
+  report.add(ob);
+  report.h1_build_millis = 3.5;
+  EXPECT_DOUBLE_EQ(report.total_millis(), 5.5);
+  const std::string text = report.to_string();
+  EXPECT_NE(text.find("[shared] H1 product build  (3.5 ms)"), std::string::npos) << text;
+  EXPECT_NE(text.find("Q.E.D."), std::string::npos);
+}
+
 TEST(ObligationTimer, MeasuresElapsedTime) {
   Obligation ob;
   {

@@ -62,6 +62,91 @@ TEST_F(SuccessorTest, PinnedVariablesKeepTheirValue) {
   EXPECT_EQ(succ[0], st(0, 1));
 }
 
+TEST(SuccessorDnf, PinnedVariableKeepsItsValueInEachDistributedDisjunct) {
+  // x < 2 /\ (x' = x + 1 \/ (x' = 0 /\ y' = 3)) distributes into two
+  // disjuncts. The first leaves y unconstrained, so a pinned y keeps its
+  // value there instead of ranging over its domain.
+  VarTable vars;
+  const VarId x = vars.declare("x", range_domain(0, 3));
+  const VarId y = vars.declare("y", range_domain(0, 3));
+  const Expr act = ex::land(
+      ex::lt(ex::var(x), ex::integer(2)),
+      ex::lor(ex::eq(ex::primed_var(x), ex::add(ex::var(x), ex::integer(1))),
+              ex::land(ex::eq(ex::primed_var(x), ex::integer(0)),
+                       ex::eq(ex::primed_var(y), ex::integer(3)))));
+  auto st = [](std::int64_t xv, std::int64_t yv) {
+    return State({Value::integer(xv), Value::integer(yv)});
+  };
+  EXPECT_EQ(ActionSuccessors(vars, act, {y}).successors(st(0, 1)),
+            (std::vector<State>{st(1, 1), st(0, 3)}));
+  // Unpinned, the first disjunct ranges y' over its domain.
+  EXPECT_EQ(ActionSuccessors(vars, act).successors(st(0, 1)),
+            (std::vector<State>{st(1, 0), st(1, 1), st(1, 2), st(1, 3), st(0, 3)}));
+}
+
+/// x, y in 0..1 and q a sequence over 0..1 of length at most 1.
+class SuccessorSeqTest : public ::testing::Test {
+ protected:
+  SuccessorSeqTest() {
+    x = vars.declare("x", range_domain(0, 1));
+    y = vars.declare("y", range_domain(0, 1));
+    q = vars.declare("q", seq_domain(range_domain(0, 1), 1));
+  }
+  State st(std::int64_t xv, std::int64_t yv, Value::Tuple qv) const {
+    return State({Value::integer(xv), Value::integer(yv), Value::tuple(std::move(qv))});
+  }
+  /// The t with action(s, t) per the tree evaluator, sorted by rendering.
+  std::vector<State> brute_force(const Expr& action, const State& s) const {
+    std::vector<State> out;
+    StateSpace(vars).for_each_state([&](const State& t) {
+      if (eval_action(action, vars, s, t)) out.push_back(t);
+    });
+    return sorted(std::move(out));
+  }
+  std::vector<State> sorted(std::vector<State> states) const {
+    std::sort(states.begin(), states.end(), [&](const State& a, const State& b) {
+      return a.to_string(vars) < b.to_string(vars);
+    });
+    return states;
+  }
+  Expr q_empty() const { return ex::eq(ex::var(q), ex::make_tuple({})); }
+  VarTable vars;
+  VarId x = 0, y = 0, q = 0;
+};
+
+TEST_F(SuccessorSeqTest, GuardOnlyDisjunctionKeepsItsShortCircuit) {
+  // In x' = 1 /\ (q = << >> \/ Head(q) = 0) the \/ mentions no primed
+  // variable, so it stays one guard: Head is never taken of << >>.
+  const Expr act = ex::land(ex::eq(ex::primed_var(x), ex::integer(1)),
+                            ex::lor(q_empty(), ex::eq(ex::head(ex::var(q)), ex::integer(0))));
+  const ActionSuccessors gen(vars, act);
+  std::size_t enabled = 0;
+  StateSpace(vars).for_each_state([&](const State& s) {
+    std::vector<State> got;
+    ASSERT_NO_THROW(got = gen.successors(s)) << s.to_string(vars);
+    EXPECT_EQ(sorted(got), brute_force(act, s)) << s.to_string(vars);
+    enabled += got.empty() ? 0 : 1;
+  });
+  EXPECT_GT(enabled, 0u);  // q = << >> and q = <<0>> enable it
+}
+
+TEST_F(SuccessorSeqTest, PrimedBranchIsEvaluatedOnItsOwn) {
+  // In x' = 1 /\ (q = << >> \/ y' = Head(q)) each branch becomes its own
+  // disjunct, as TLC explores it. At q = << >> the second one takes
+  // Head(<< >>) and throws, although the first holds there and eval_action
+  // stops at it. This is the documented cost of distributing primed \/.
+  const Expr act = ex::land(ex::eq(ex::primed_var(x), ex::integer(1)),
+                            ex::lor(q_empty(), ex::eq(ex::primed_var(y), ex::head(ex::var(q)))));
+  const ActionSuccessors gen(vars, act);
+  const State at_empty = st(0, 0, {});
+  EXPECT_FALSE(brute_force(act, at_empty).empty());
+  EXPECT_ANY_THROW(gen.successors(at_empty));
+  // Where Head is defined the branches agree with eval_action.
+  const State at_one = st(0, 0, {Value::integer(1)});
+  EXPECT_EQ(sorted(gen.successors(at_one)), brute_force(act, at_one));
+  EXPECT_EQ(gen.successors(at_one).size(), 3u);  // y' = 1, q' over 3 values
+}
+
 TEST_F(SuccessorTest, PinnedVariableInResidualIsStillEnumerated) {
   // y' # y constrains a pinned variable: pinning must not lose successors.
   ActionSuccessors gen(vars, ex::land(ex::eq(ex::primed_var(x), ex::var(x)),
