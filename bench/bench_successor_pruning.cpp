@@ -24,7 +24,6 @@
 #include "opentla/queue/double_queue.hpp"
 #include "opentla/queue/queue_spec.hpp"
 #include "opentla/value/domain.hpp"
-#include "opentla/vm/interp.hpp"
 
 using namespace opentla;
 
@@ -124,22 +123,7 @@ void artifact() {
                          n8.num_edges() == p8.num_edges() &&
                          n8.initial() == p8.initial();
   std::cout << "naive/pruned graph identity (fig6, fig8): "
-            << (identical ? "identical" : "MISMATCH") << "\n";
-
-  // Same cross-check for the expression evaluator: the graphs a tree-eval
-  // run builds must be bit-identical to the bytecode-VM run's.
-  vm::set_tree_eval_for_test(true);
-  StateGraph t6 = fig6_graph();
-  StateGraph t8 = fig8_graph();
-  vm::set_tree_eval_for_test(false);
-  const bool eval_identical = t6.num_states() == p6.num_states() &&
-                              t6.num_edges() == p6.num_edges() &&
-                              t6.initial() == p6.initial() &&
-                              t8.num_states() == p8.num_states() &&
-                              t8.num_edges() == p8.num_edges() &&
-                              t8.initial() == p8.initial();
-  std::cout << "tree/vm graph identity (fig6, fig8): "
-            << (eval_identical ? "identical" : "MISMATCH") << "\n\n";
+            << (identical ? "identical" : "MISMATCH") << "\n\n";
 
   std::cout << std::setw(10) << "workload" << std::setw(14) << "successors"
             << std::setw(16) << "compl_pruned" << std::setw(12) << "cuts" << "\n";
@@ -219,46 +203,6 @@ void BM_SuccessorsSynthetic(benchmark::State& state) {
   state.SetLabel(state.range(0) == 0 ? "naive" : "pruned");
 }
 BENCHMARK(BM_SuccessorsSynthetic)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
-
-// --- Evaluator axis: identical pruned workloads, tree walker vs bytecode
-// VM (vm::set_tree_eval_for_test). Successor sets and emission order are
-// bit-identical either way; only per-conjunct evaluation cost changes.
-
-void BM_SuccessorsSyntheticEval(benchmark::State& state) {
-  vm::set_tree_eval_for_test(state.range(0) == 0);
-  Synthetic syn;
-  ActionSuccessors gen(syn.vars, syn.action);
-  const State s = syn.first();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gen.successors(s));
-  }
-  vm::set_tree_eval_for_test(false);
-  state.SetLabel(state.range(0) == 0 ? "tree" : "vm");
-}
-BENCHMARK(BM_SuccessorsSyntheticEval)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
-
-void BM_GraphBuildFig6Eval(benchmark::State& state) {
-  vm::set_tree_eval_for_test(state.range(0) == 0);
-  QueueSystem sys = make_queue_system(3, 2);
-  for (auto _ : state) {
-    StateGraph g = build_composite_graph(sys.vars, {{sys.specs.complete.unhidden(), true}});
-    benchmark::DoNotOptimize(g.num_states());
-  }
-  vm::set_tree_eval_for_test(false);
-  state.SetLabel(state.range(0) == 0 ? "tree" : "vm");
-}
-BENCHMARK(BM_GraphBuildFig6Eval)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_GraphBuildFig8Eval(benchmark::State& state) {
-  vm::set_tree_eval_for_test(state.range(0) == 0);
-  for (auto _ : state) {
-    StateGraph g = fig8_graph();
-    benchmark::DoNotOptimize(g.num_states());
-  }
-  vm::set_tree_eval_for_test(false);
-  state.SetLabel(state.range(0) == 0 ? "tree" : "vm");
-}
-BENCHMARK(BM_GraphBuildFig8Eval)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -40,9 +40,6 @@ PrefixMachine::PrefixMachine(const VarTable& vars, CanonicalSpec spec)
       if (!assigned[v]) cd.hidden_free.push_back(v);
     }
     cd.hidden_sched = schedule_residual(cd.parts.residual_needs, cd.hidden_free);
-    for (const Expr& g : cd.parts.guards) cd.guards.emplace_back(g);
-    for (const auto& [v, rhs] : cd.parts.assignments) cd.rhs.emplace_back(rhs);
-    for (const Expr& r : cd.parts.residual) cd.residual.emplace_back(r);
     disjuncts_.push_back(std::move(cd));
   }
 }
@@ -78,15 +75,15 @@ void PrefixMachine::hidden_successors(const State& s_full, const State& t,
   // One scratch context per call; emission order across disjuncts changes
   // with the schedule, but configurations are sorted sets (encode_config),
   // so only the set of emissions matters here.
-  vm::VmContext ctx;
+  EvalContext ctx;
   ctx.vars = vars_;
   ctx.current = &s_full;
   for (const Disjunct& cd : disjuncts_) {
     ctx.next = nullptr;
 
     bool feasible = true;
-    for (const vm::CompiledExpr& g : cd.guards) {
-      if (!g.eval_bool(ctx)) {
+    for (const Expr& g : cd.parts.guards) {
+      if (!eval_bool(g, ctx)) {
         feasible = false;
         break;
       }
@@ -96,9 +93,8 @@ void PrefixMachine::hidden_successors(const State& s_full, const State& t,
     // Assignments either pin a hidden variable of the successor or must
     // agree with the given visible successor t.
     State t_full = t;
-    for (std::size_t i = 0; i < cd.parts.assignments.size(); ++i) {
-      const VarId v = cd.parts.assignments[i].first;
-      Value val = cd.rhs[i].eval(ctx);
+    for (const auto& [v, rhs] : cd.parts.assignments) {
+      Value val = eval(rhs, ctx);
       if (is_hidden_[v]) {
         if (!vars_->domain(v).contains(val)) {
           feasible = false;
@@ -116,7 +112,7 @@ void PrefixMachine::hidden_successors(const State& s_full, const State& t,
         t_full, cd.hidden_sched,
         [&](std::size_t i, const State& cand) {
           ctx.next = &cand;
-          return cd.residual[i].eval_bool(ctx);
+          return eval_bool(cd.parts.residual[i], ctx);
         },
         [&](const State& cand) {
           Value::Tuple h;

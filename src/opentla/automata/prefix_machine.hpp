@@ -32,7 +32,6 @@
 #include "opentla/state/state.hpp"
 #include "opentla/state/var_table.hpp"
 #include "opentla/tla/spec.hpp"
-#include "opentla/vm/interp.hpp"
 
 namespace opentla {
 
@@ -85,12 +84,6 @@ class PrefixMachine final : public SafetyMachine {
     /// soon as their hidden variables are bound (visible primed variables
     /// are already fixed by the given successor t).
     ResidualSchedule hidden_sched;
-    /// Bytecode lowered at construction, paired index-for-index with
-    /// parts.guards / parts.assignments / parts.residual (see the same
-    /// scheme in ActionSuccessors::CompiledDisjunct).
-    std::vector<vm::CompiledExpr> guards;
-    std::vector<vm::CompiledExpr> rhs;
-    std::vector<vm::CompiledExpr> residual;
   };
 
   State compose(const State& visible, const Value& hidden_vals) const;

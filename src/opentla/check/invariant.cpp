@@ -5,7 +5,6 @@
 #include "opentla/compose/compose.hpp"
 #include "opentla/expr/eval.hpp"
 #include "opentla/obs/obs.hpp"
-#include "opentla/vm/interp.hpp"
 
 namespace opentla {
 
@@ -15,17 +14,14 @@ InvariantResult check_invariant(const StateGraph& g, const Expr& invariant) {
   result.states_checked = g.num_states();
   result.stop_reason = g.stop_reason();
   std::vector<signed char> bad(g.num_states(), -1);
-  // The invariant is lowered once and evaluated per state through the VM
-  // (or the tree, under the vm::set_tree_eval_for_test switch).
-  const vm::CompiledExpr inv(invariant);
-  vm::VmContext ctx;
+  EvalContext ctx;
   ctx.vars = &g.vars();
   auto is_bad = [&](StateId s) {
     if (bad[s] < 0) {
       // Local copy: state() decodes by value from the store's arena.
       const State cur = g.state(s);
       ctx.current = &cur;
-      bad[s] = inv.eval_bool(ctx) ? 0 : 1;
+      bad[s] = eval_bool(invariant, ctx) ? 0 : 1;
     }
     return bad[s] == 1;
   };

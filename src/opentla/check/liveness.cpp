@@ -6,7 +6,6 @@
 #include "opentla/expr/eval.hpp"
 #include "opentla/graph/scc.hpp"
 #include "opentla/obs/obs.hpp"
-#include "opentla/vm/interp.hpp"
 
 namespace opentla {
 
@@ -17,20 +16,16 @@ LeadsToResult check_leads_to(const StateGraph& graph, const std::vector<Fairness
   LeadsToResult result;
   const VarTable& vars = graph.vars();
 
-  // Both predicates are lowered once; per-state checks run the bytecode
-  // (or the tree, under the vm::set_tree_eval_for_test switch).
-  const vm::CompiledExpr q_prog(q);
-  const vm::CompiledExpr p_prog(p);
-  vm::VmContext vm_ctx;
-  vm_ctx.vars = &vars;
+  EvalContext ctx;
+  ctx.vars = &vars;
 
   std::vector<signed char> is_q(graph.num_states(), -1);
   auto q_at = [&](StateId s) {
     if (is_q[s] < 0) {
       // Local copy: state() decodes by value from the store's arena.
       const State cur = graph.state(s);
-      vm_ctx.current = &cur;
-      is_q[s] = q_prog.eval_bool(vm_ctx) ? 1 : 0;
+      ctx.current = &cur;
+      is_q[s] = eval_bool(q, ctx) ? 1 : 0;
     }
     return is_q[s] == 1;
   };
@@ -91,8 +86,8 @@ LeadsToResult check_leads_to(const StateGraph& graph, const std::vector<Fairness
   for (StateId s = 0; s < graph.num_states(); ++s) {
     if (!escapes[s] || q_at(s)) continue;
     const State cur = graph.state(s);
-    vm_ctx.current = &cur;
-    if (!p_prog.eval_bool(vm_ctx)) continue;
+    ctx.current = &cur;
+    if (!eval_bool(p, ctx)) continue;
     // Reconstruct: init -> s, then s -> cycle through Q-free states.
     std::vector<StateId> to_p = graph.shortest_path_to([&](StateId t) { return t == s; });
     std::vector<StateId> to_cycle = graph.path(

@@ -28,20 +28,42 @@ struct NextRestore {
   const State* saved;
   ~NextRestore() { ctx->next = saved; }
 };
+
+const Value& read_var(const ExprNode& n, const EvalContext& ctx) {
+  if (n.primed) {
+    if (ctx.next == nullptr) eval_error("primed variable in a state-function context");
+    return (*ctx.next)[n.var];
+  }
+  if (ctx.current == nullptr) eval_error("no current state");
+  return (*ctx.current)[n.var];
+}
+
+// An operand read in place where that is safe: a Var from its state slot,
+// a Const from its node. Any other operand is evaluated into `tmp`.
+// Locals are copied too, because a quantifier in a later operand pushes a
+// binding and can reallocate ctx.locals under a reference.
+const Value& operand(const Expr& e, EvalContext& ctx, Value& tmp) {
+  if (!e.is_null()) {
+    const ExprNode& n = e.node();
+    if (n.kind == ExprKind::Var) return read_var(n, ctx);
+    if (n.kind == ExprKind::Const) return n.value;
+  }
+  tmp = eval(e, ctx);
+  return tmp;
+}
 }  // namespace
 
-// Pinned evaluation-order contract (shared with opentla/vm/):
+// Pinned evaluation-order contract:
 //
 // Operands of every binary operator are evaluated LEFT TO RIGHT, and the
 // n-ary connectives And / Or short-circuit in child order. This matters
 // only when evaluation can throw: which eval error a spec surfaces (an
-// overflow in the left operand vs. a kind mismatch in the right) must not
-// depend on the evaluator. C++ leaves the order of function-argument
-// evaluation unspecified, so every case below that evaluates two operands
-// does it through named temporaries rather than inline calls. The bytecode
-// compiler (opentla/vm/compile.cpp) emits code in this same order; the
-// differential VM-vs-tree axis in tests/test_differential.cpp holds both
-// evaluators to it, down to identical exception messages.
+// overflow in the left operand vs. a kind mismatch in the right) is part
+// of the evaluator's observable behaviour. C++ leaves the order of
+// function-argument evaluation unspecified, so every case below that
+// evaluates two operands does it through named temporaries rather than
+// inline calls; operands read in place (`operand`) keep the same order
+// and the same messages. tests/test_expr.cpp pins the messages.
 Value eval(const Expr& e, EvalContext& ctx) {
   if (e.is_null()) eval_error("null expression");
   const ExprNode& n = e.node();
@@ -49,16 +71,8 @@ Value eval(const Expr& e, EvalContext& ctx) {
     case ExprKind::Const:
       return n.value;
 
-    case ExprKind::Var: {
-      if (n.primed) {
-        if (ctx.next == nullptr) {
-          eval_error("primed variable in a state-function context");
-        }
-        return (*ctx.next)[n.var];
-      }
-      if (ctx.current == nullptr) eval_error("no current state");
-      return (*ctx.current)[n.var];
-    }
+    case ExprKind::Var:
+      return read_var(n, ctx);
 
     case ExprKind::Local: {
       for (auto it = ctx.locals.rbegin(); it != ctx.locals.rend(); ++it) {
@@ -94,13 +108,15 @@ Value eval(const Expr& e, EvalContext& ctx) {
     }
 
     case ExprKind::Eq: {
-      const Value a = eval(n.kids[0], ctx);
-      const Value b = eval(n.kids[1], ctx);
+      Value sa, sb;
+      const Value& a = operand(n.kids[0], ctx, sa);
+      const Value& b = operand(n.kids[1], ctx, sb);
       return Value::boolean(a == b);
     }
     case ExprKind::Neq: {
-      const Value a = eval(n.kids[0], ctx);
-      const Value b = eval(n.kids[1], ctx);
+      Value sa, sb;
+      const Value& a = operand(n.kids[0], ctx, sa);
+      const Value& b = operand(n.kids[1], ctx, sb);
       return Value::boolean(!(a == b));
     }
     case ExprKind::Lt: {
@@ -176,24 +192,34 @@ Value eval(const Expr& e, EvalContext& ctx) {
       return Value::tuple(std::move(elems));
     }
 
-    case ExprKind::Head:
-      return seq_head(eval(n.kids[0], ctx));
-    case ExprKind::Tail:
-      return seq_tail(eval(n.kids[0], ctx));
-    case ExprKind::Len:
-      return Value::integer(static_cast<std::int64_t>(eval(n.kids[0], ctx).length()));
+    case ExprKind::Head: {
+      Value tmp;
+      return seq_head(operand(n.kids[0], ctx, tmp));
+    }
+    case ExprKind::Tail: {
+      Value tmp;
+      return seq_tail(operand(n.kids[0], ctx, tmp));
+    }
+    case ExprKind::Len: {
+      Value tmp;
+      return Value::integer(
+          static_cast<std::int64_t>(operand(n.kids[0], ctx, tmp).length()));
+    }
     case ExprKind::Concat: {
-      const Value a = eval(n.kids[0], ctx);
-      const Value b = eval(n.kids[1], ctx);
+      Value sa, sb;
+      const Value& a = operand(n.kids[0], ctx, sa);
+      const Value& b = operand(n.kids[1], ctx, sb);
       return seq_concat(a, b);
     }
     case ExprKind::Append: {
-      const Value a = eval(n.kids[0], ctx);
-      const Value b = eval(n.kids[1], ctx);
+      Value sa, sb;
+      const Value& a = operand(n.kids[0], ctx, sa);
+      const Value& b = operand(n.kids[1], ctx, sb);
       return seq_append(a, b);
     }
     case ExprKind::Index: {
-      Value s = eval(n.kids[0], ctx);
+      Value tmp;
+      const Value& s = operand(n.kids[0], ctx, tmp);
       const std::int64_t i = as_int(n.kids[1], ctx);
       const Value::Tuple& t = s.as_tuple();
       if (i < 1 || static_cast<std::size_t>(i) > t.size()) {

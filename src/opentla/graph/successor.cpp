@@ -39,9 +39,6 @@ ActionSuccessors::ActionSuccessors(const VarTable& vars, Expr action, std::vecto
     cd.full_sched = schedule_residual(cd.parts.residual_needs, cd.free_vars);
     cd.existential_sched =
         schedule_residual(cd.parts.residual_needs, cd.parts.unassigned_primed);
-    for (const Expr& g : cd.parts.guards) cd.guards.emplace_back(g);
-    for (const auto& [v, rhs] : cd.parts.assignments) cd.rhs.emplace_back(rhs);
-    for (const Expr& r : cd.parts.residual) cd.residual.emplace_back(r);
     disjuncts_.push_back(std::move(cd));
   }
 }
@@ -79,17 +76,16 @@ bool ActionSuccessors::run(const State& s, bool existential_only,
     if (guard_enabled) OPENTLA_OBS_COUNT_LABELED(ActionEnabled, label_, 1);
   };
   // One scratch context for the whole run: guards, right-hand sides, and
-  // residual checks all evaluate through it — the VM's register file (or
-  // the tree fallback's EvalContext) is reused across every check.
-  vm::VmContext ctx;
+  // residual checks all evaluate through it.
+  EvalContext ctx;
   ctx.vars = vars_;
   ctx.current = &s;
   for (const CompiledDisjunct& cd : disjuncts_) {
     ctx.next = nullptr;
 
     bool feasible = true;
-    for (const vm::CompiledExpr& g : cd.guards) {
-      if (!g.eval_bool(ctx)) {
+    for (const Expr& g : cd.parts.guards) {
+      if (!eval_bool(g, ctx)) {
         feasible = false;
         break;
       }
@@ -98,9 +94,8 @@ bool ActionSuccessors::run(const State& s, bool existential_only,
     guard_enabled = true;
 
     State base = s;
-    for (std::size_t i = 0; i < cd.parts.assignments.size(); ++i) {
-      const VarId v = cd.parts.assignments[i].first;
-      Value val = cd.rhs[i].eval(ctx);
+    for (const auto& [v, rhs] : cd.parts.assignments) {
+      Value val = eval(rhs, ctx);
       if (!vars_->domain(v).contains(val)) {
         feasible = false;  // successor falls outside the declared space
         break;
@@ -125,8 +120,8 @@ bool ActionSuccessors::run(const State& s, bool existential_only,
       const std::vector<VarId> naive(sched.order.rbegin(), sched.order.rend());
       stopped = space_.for_each_completion(base, naive, [&](const State& t) {
         ctx.next = &t;
-        for (const vm::CompiledExpr& r : cd.residual) {
-          if (!r.eval_bool(ctx)) return false;
+        for (const Expr& r : cd.parts.residual) {
+          if (!eval_bool(r, ctx)) return false;
         }
         return emit(t);
       });
@@ -135,7 +130,7 @@ bool ActionSuccessors::run(const State& s, bool existential_only,
           base, sched,
           [&](std::size_t i, const State& t) {
             ctx.next = &t;
-            return cd.residual[i].eval_bool(ctx);
+            return eval_bool(cd.parts.residual[i], ctx);
           },
           emit);
     }
@@ -149,13 +144,13 @@ bool ActionSuccessors::run(const State& s, bool existential_only,
 }
 
 bool ActionSuccessors::guards_enabled(const State& s) const {
-  vm::VmContext ctx;
+  EvalContext ctx;
   ctx.vars = vars_;
   ctx.current = &s;
   for (const CompiledDisjunct& cd : disjuncts_) {
     bool ok = true;
-    for (const vm::CompiledExpr& g : cd.guards) {
-      if (!g.eval_bool(ctx)) {
+    for (const Expr& g : cd.parts.guards) {
+      if (!eval_bool(g, ctx)) {
         ok = false;
         break;
       }

@@ -20,10 +20,14 @@
 // y' = Head(q)) the second branch takes Head(<<>>) and throws at
 // q = <<>>, although the first branch holds there. Past the cap only the
 // source disjuncts are split. Lint, footprints, prefix machines and the
-// tree ENABLED keep the source split: they report on, or compile programs
-// for, the disjuncts the author wrote, and distributing there would turn
-// dead branches of a live action into dead actions and multiply the
-// compiled prefix-machine programs.
+// tree ENABLED keep the source split: they report on, or step through,
+// the disjuncts the author wrote, and distributing there would turn dead
+// branches of a live action into dead actions and multiply the disjuncts
+// every prefix-machine step evaluates.
+//
+// Guards, assignment right-hand sides and residual conjuncts are
+// evaluated by the tree evaluator (expr/eval) straight from the
+// decomposition, through one EvalContext per run().
 //
 // TLA actions have no frame condition: a primed variable that does not
 // occur in a disjunct is unconstrained and is enumerated over its domain.
@@ -41,7 +45,6 @@
 #include "opentla/state/state.hpp"
 #include "opentla/state/state_space.hpp"
 #include "opentla/state/var_table.hpp"
-#include "opentla/vm/interp.hpp"
 
 namespace opentla {
 
@@ -112,14 +115,6 @@ class ActionSuccessors {
     /// the shallowest depth where their variables are bound.
     ResidualSchedule full_sched;
     ResidualSchedule existential_sched;
-    /// Bytecode for the disjunct's pieces, lowered once at construction:
-    /// guards[i] / rhs[i] / residual[i] pair with parts.guards[i] /
-    /// parts.assignments[i].second / parts.residual[i]. Each dispatches on
-    /// vm::set_tree_eval_for_test at evaluation time, so every run() is
-    /// re-runnable through the tree evaluator with identical results.
-    std::vector<vm::CompiledExpr> guards;
-    std::vector<vm::CompiledExpr> rhs;
-    std::vector<vm::CompiledExpr> residual;
   };
 
   /// `existential_only`: enumerate only the residual-constrained primed

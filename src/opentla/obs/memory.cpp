@@ -12,7 +12,6 @@ const char* name(MemDomain d) {
     case MemDomain::StateStore: return "state_store";
     case MemDomain::StateGraph: return "state_graph";
     case MemDomain::Frontier: return "frontier";
-    case MemDomain::VmPools: return "vm_pools";
     case MemDomain::Parser: return "parser";
     case MemDomain::Oracle: return "oracle";
     case MemDomain::Other: return "other";

@@ -57,8 +57,8 @@ enum class Counter : std::size_t {
   AnalysisPairsIndependent,  // action pairs the static matrix proves commute
   AnalysisPairsDependent,    // action pairs left dependent (incl. fallback)
   BudgetStops,             // run-budget breaches latched (RunBudget::request_stop)
-  VmProgramsCompiled,      // expressions lowered to bytecode by vm::compile
-  VmInstrsExecuted,        // bytecode instructions retired by the VM interpreter
+  VmProgramsCompiled,      // reads 0 since the bytecode VM was removed (kept for its readers)
+  VmInstrsExecuted,        // reads 0 since the bytecode VM was removed (kept for its readers)
   FingerprintCollisions,   // distinct states sharing a 64-bit fingerprint (hard error)
   SpillSegments,           // arena segments spilled to mmap-backed temp files
   kCount
@@ -110,9 +110,8 @@ enum class MemDomain : std::size_t {
   StateStore,  // interned state vectors + seen-set nodes (serial & sharded)
   StateGraph,  // adjacency lists of the built graph
   Frontier,    // BFS frontier / parallel work deques
-  VmPools,     // compiled bytecode programs (instrs, consts, domains, pools)
   Parser,      // expression trees retained by parsed modules
-  Oracle,      // lasso-oracle memo table and predicate cache
+  Oracle,      // lasso-oracle memo table
   Other,       // tracked bytes with no finer attribution
   kCount
 };

@@ -22,14 +22,26 @@ struct ThreadSpanStack {
   std::array<std::atomic<std::uint32_t>, kMaxSpanDepth> frames{};
 };
 
-std::mutex g_stack_mutex;
-std::vector<ThreadSpanStack*> g_stacks;
+// The registry is heap-allocated and never destroyed, so it and every
+// stack it holds stay reachable for the whole process: spans can still
+// open during static destruction, and a leak checker run at exit sees
+// live pointers rather than a destroyed vector's lost blocks.
+struct StackRegistry {
+  std::mutex mutex;
+  std::vector<ThreadSpanStack*> stacks;
+};
+
+StackRegistry& stack_registry() {
+  static StackRegistry* const registry = new StackRegistry();
+  return *registry;
+}
 
 ThreadSpanStack* thread_stack() {
   thread_local ThreadSpanStack* stack = [] {
     auto* s = new ThreadSpanStack();
-    std::lock_guard<std::mutex> lock(g_stack_mutex);
-    g_stacks.push_back(s);
+    StackRegistry& reg = stack_registry();
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    reg.stacks.push_back(s);
     return s;
   }();
   return stack;
@@ -120,8 +132,9 @@ void SamplingProfiler::run() {
 void SamplingProfiler::sample_once() {
   std::vector<detail::ThreadSpanStack*> stacks;
   {
-    std::lock_guard<std::mutex> lock(detail::g_stack_mutex);
-    stacks = detail::g_stacks;
+    detail::StackRegistry& reg = detail::stack_registry();
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    stacks = reg.stacks;
   }
   std::vector<std::vector<std::uint32_t>> keys;
   for (detail::ThreadSpanStack* s : stacks) {

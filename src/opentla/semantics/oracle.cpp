@@ -22,7 +22,6 @@ bool Oracle::evaluate_at(const Formula& f, const LassoBehavior& sigma, std::size
   // routinely pass distinct temporary behaviors that reuse the same stack
   // address, so address-based caching across calls would be unsound.
   memo_.clear();
-  pred_cache_.clear();
   mem_.release();
   memo_sigma_ = &sigma;
   return eval(f, sigma, pos);
@@ -170,19 +169,9 @@ bool Oracle::eval(const Formula& f, const LassoBehavior& sigma, std::size_t pos)
 
   bool result = false;
   switch (n.kind) {
-    case FormulaKind::Pred: {
-      auto [slot, inserted] = pred_cache_.try_emplace(&n);
-      if (inserted) {
-        slot->second = vm::CompiledExpr(n.expr);
-        OPENTLA_OBS_MEM_TALLY_ADD(
-            mem_, sizeof(std::pair<const FormulaNode* const, vm::CompiledExpr>) + 48);
-      }
-      vm_ctx_.vars = vars_;
-      vm_ctx_.current = &sigma.at(pos);
-      vm_ctx_.next = nullptr;
-      result = slot->second.eval_bool(vm_ctx_);
+    case FormulaKind::Pred:
+      result = eval_pred(n.expr, *vars_, sigma.at(pos));
       break;
-    }
 
     case FormulaKind::ActionBox: {
       // [][A]_v from pos: no later step changes v without being an A step.

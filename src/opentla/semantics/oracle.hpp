@@ -27,7 +27,6 @@
 #include "opentla/obs/memory.hpp"
 #include "opentla/semantics/lasso.hpp"
 #include "opentla/tla/formula.hpp"
-#include "opentla/vm/interp.hpp"
 
 namespace opentla {
 
@@ -72,15 +71,8 @@ class Oracle {
   const VarTable* vars_;
   std::map<std::pair<const FormulaNode*, std::size_t>, bool> memo_;
   const LassoBehavior* memo_sigma_ = nullptr;
-  /// Pred atoms lowered to bytecode, keyed by node identity. Like memo_,
-  /// only valid within one top-level evaluation: temporary Formulas can
-  /// reuse node addresses across calls, so the cache is cleared alongside
-  /// memo_. (An Oracle is single-threaded; vm_ctx_ is reused as scratch.)
-  std::map<const FormulaNode*, vm::CompiledExpr> pred_cache_;
-  vm::VmContext vm_ctx_;
-  /// Memory accounting: map-node bytes of memo_ and pred_cache_, charged
-  /// per insert and released when the caches clear at evaluate() start.
-  /// (pred_cache_ program pools charge vm_pools via CompiledExpr itself.)
+  /// Memory accounting: map-node bytes of memo_, charged per insert and
+  /// released when the memo clears at evaluate() start.
   obs::MemTally mem_{obs::MemDomain::Oracle};
 };
 

@@ -13,12 +13,11 @@
 // (ENABLED) stops the enumeration instead of spinning through the rest of
 // the space.
 //
-// The `check` callbacks the engine passes in run residual conjuncts that
-// were lowered to bytecode (opentla/vm/) at construction time; each bind
-// point therefore costs one VM dispatch rather than a tree walk. The
-// enumeration itself is evaluator-agnostic — vm::set_tree_eval_for_test
-// flips the callbacks back to the tree without changing which leaves are
-// visited or in what order.
+// The `check` callbacks the engine passes in evaluate one residual
+// conjunct each with the tree evaluator (expr/eval), so a bind point costs
+// one conjunct's evaluation. The enumeration itself knows nothing of
+// expressions: which leaves it visits, and in what order, depends only on
+// the schedule and on the callbacks' verdicts.
 
 #pragma once
 

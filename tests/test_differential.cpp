@@ -18,13 +18,6 @@
 // identical successor sequences — the same states in the same emission
 // order — and identical enabled() verdicts.
 //
-// A sixth axis pins the bytecode VM to the tree evaluator (behind
-// vm::set_tree_eval_for_test): identical successor sets in identical
-// emission order, identical ENABLED results and invariant verdicts, and —
-// on random scalar expressions biased toward the trap classes (integer
-// overflow, floored-mod domain, unbound locals) — identical values or
-// byte-identical error messages.
-//
 // An eighth axis pins the distribution of nested disjunctions in successor
 // generation: on random actions with a \/ inside a conjunct, and on <A>_v
 // steps, successor sets and enabled() must equal brute force and the tree
@@ -36,7 +29,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -53,8 +45,6 @@
 #include "opentla/state/sharded_store.hpp"
 #include "opentla/state/state.hpp"
 #include "opentla/tla/spec.hpp"
-#include "opentla/vm/compile.hpp"
-#include "opentla/vm/interp.hpp"
 
 namespace opentla {
 namespace {
@@ -431,163 +421,6 @@ TEST_P(PairIndependenceHarness, ClaimedIndependentPairsCommuteFromEveryState) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PairIndependenceHarness, ::testing::Range(0u, kSeeds));
-
-/// Sixth differential axis: the bytecode VM against the tree evaluator.
-/// Toggling vm::set_tree_eval_for_test re-runs identical workloads through
-/// the other evaluator; every observable must be bit-identical.
-class VmVsTreeHarness : public ::testing::TestWithParam<unsigned> {};
-
-/// RAII toggle so an ASSERT early-exit can't leave the global switch set.
-struct ForceTreeEval {
-  explicit ForceTreeEval(bool tree) { vm::set_tree_eval_for_test(tree); }
-  ~ForceTreeEval() { vm::set_tree_eval_for_test(false); }
-};
-
-TEST_P(VmVsTreeHarness, IdenticalSuccessorsEnabledAndInvariantVerdicts) {
-  const unsigned seed = GetParam();
-  ActionGen gen(seed);
-  StateSpace space(gen.vars());
-
-  for (unsigned c = 0; c < kCasesPerSeed; ++c) {
-    SCOPED_TRACE("seed=" + std::to_string(seed) + " case=" + std::to_string(c));
-    const Expr act = gen.action();
-    ActionSuccessors succ(gen.vars(), act);
-
-    space.for_each_state([&](const State& s) {
-      std::vector<State> tree_succ;
-      bool tree_enabled = false;
-      {
-        ForceTreeEval force(true);
-        tree_succ = succ.successors(s);
-        tree_enabled = succ.enabled(s);
-      }
-      const std::vector<State> vm_succ = succ.successors(s);
-      const bool vm_enabled = succ.enabled(s);
-      // Same states in the same emission order — the evaluator switch must
-      // not change which completions survive or when they are emitted.
-      ASSERT_EQ(vm_succ, tree_succ)
-          << "action " << act.to_string(gen.vars()) << " at " << s.to_string(gen.vars());
-      ASSERT_EQ(vm_enabled, tree_enabled)
-          << "action " << act.to_string(gen.vars()) << " at " << s.to_string(gen.vars());
-    });
-  }
-
-  // Invariant verdicts over random two-variable systems: the checker's
-  // CompiledExpr must reach the same verdict (and counterexample) both ways.
-  CaseGen cg(seed ^ 0x9e3779b9u);
-  for (unsigned c = 0; c < kCasesPerSeed / 10; ++c) {
-    SCOPED_TRACE("invariant seed=" + std::to_string(seed) + " case=" + std::to_string(c));
-    CanonicalSpec sx = cg.spec(cg.x(), cg.y(), "SX");
-    CanonicalSpec sy = cg.spec(cg.y(), cg.x(), "SY");
-    const std::vector<CompositePart> parts = {{sx, true}, {sy, true}};
-    const StateGraph g = build_composite_graph(cg.vars(), parts, {}, {}, {});
-    const Expr p = ex::lor(cg.predicate(cg.x()), cg.predicate(cg.y()));
-    InvariantResult tree_r;
-    {
-      ForceTreeEval force(true);
-      tree_r = check_invariant(g, p);
-    }
-    const InvariantResult vm_r = check_invariant(g, p);
-    ASSERT_EQ(vm_r.holds, tree_r.holds) << p.to_string(cg.vars());
-    ASSERT_EQ(vm_r.counterexample, tree_r.counterexample);
-  }
-}
-
-/// Random scalar expressions biased toward the trap classes. Leaves pull
-/// from extreme constants so overflow is common; `mod` draws divisors from
-/// {-1, 0, positive} so the floored-mod domain error fires; a rare free
-/// local exercises the unbound-variable error.
-class ScalarExprGen {
- public:
-  explicit ScalarExprGen(unsigned seed) : rng_(seed) {
-    x_ = vars_.declare("x", range_domain(0, 2));
-    y_ = vars_.declare("y", range_domain(0, 2));
-  }
-
-  VarTable& vars() { return vars_; }
-
-  Expr expr(int depth) {
-    if (depth <= 0) return leaf();
-    switch (pick(8)) {
-      case 0: return ex::add(expr(depth - 1), expr(depth - 1));
-      case 1: return ex::sub(expr(depth - 1), expr(depth - 1));
-      case 2: return ex::mul(expr(depth - 1), expr(depth - 1));
-      case 3: return ex::mod(expr(depth - 1), expr(depth - 1));
-      case 4: return ex::neg(expr(depth - 1));
-      case 5:
-        return ex::ite(ex::le(expr(depth - 1), expr(depth - 1)),
-                       expr(depth - 1), expr(depth - 1));
-      case 6:
-        return ex::index(ex::make_tuple({expr(depth - 1), expr(depth - 1)}),
-                         expr(depth - 1));
-      default: return leaf();
-    }
-  }
-
- private:
-  int pick(int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng_); }
-
-  Expr leaf() {
-    switch (pick(10)) {
-      case 0: return ex::var(x_);
-      case 1: return ex::var(y_);
-      case 2: return ex::integer(std::numeric_limits<std::int64_t>::max());
-      case 3: return ex::integer(std::numeric_limits<std::int64_t>::min());
-      case 4: return ex::integer(-1);
-      case 5: return ex::integer(0);
-      case 6: return ex::local("free");  // always unbound: closed contract
-      default: return ex::integer(pick(4));
-    }
-  }
-
-  VarTable vars_;
-  VarId x_ = 0, y_ = 0;
-  std::mt19937 rng_;
-};
-
-TEST_P(VmVsTreeHarness, IdenticalValuesAndErrorMessagesOnRandomScalars) {
-  const unsigned seed = GetParam();
-  ScalarExprGen gen(seed);
-  const State s({Value::integer(1), Value::integer(2)});
-
-  for (unsigned c = 0; c < kCasesPerSeed * 4; ++c) {
-    SCOPED_TRACE("seed=" + std::to_string(seed) + " case=" + std::to_string(c));
-    const Expr e = gen.expr(4);
-
-    EvalContext tctx;
-    tctx.vars = &gen.vars();
-    tctx.current = &s;
-    Value tree_val;
-    std::string tree_err;
-    try {
-      tree_val = eval(e, tctx);
-    } catch (const std::runtime_error& ex) {
-      tree_err = ex.what();
-    }
-
-    vm::VmContext vctx;
-    vctx.vars = &gen.vars();
-    vctx.current = &s;
-    Value vm_val;
-    std::string vm_err;
-    try {
-      vm_val = vm::run(vm::compile(e), vctx);
-    } catch (const std::runtime_error& ex) {
-      vm_err = ex.what();
-    }
-
-    // Byte-identical error messages (trap class AND operand rendering), or
-    // equal values; never an error on one side only.
-    ASSERT_EQ(vm_err, tree_err) << e.to_string(gen.vars());
-    if (tree_err.empty()) {
-      ASSERT_TRUE(vm_val == tree_val)
-          << e.to_string(gen.vars()) << " tree=" << tree_val.to_string()
-          << " vm=" << vm_val.to_string();
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, VmVsTreeHarness, ::testing::Range(0u, kSeeds));
 
 /// Seventh differential axis: the fingerprinted arena-backed stores
 /// against a plain map-based reference interner. Random state streams

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "opentla/expr/eval.hpp"
 #include "opentla/expr/expr.hpp"
@@ -23,6 +25,20 @@ class ExprTest : public ::testing::Test {
 
   State state(std::int64_t xv, std::int64_t yv, Value qv = Value::empty_seq()) {
     return State({Value::integer(xv), Value::integer(yv), std::move(qv)});
+  }
+
+  /// The message `eval` throws for `e` at state `cur` (no next state), or
+  /// "" if it returns.
+  std::string error_of(const Expr& e, const State* cur) {
+    EvalContext ctx;
+    ctx.vars = &vars;
+    ctx.current = cur;
+    try {
+      eval(e, ctx);
+    } catch (const std::runtime_error& ex) {
+      return ex.what();
+    }
+    return "";
   }
 
   VarTable vars;
@@ -55,6 +71,8 @@ TEST_F(ExprTest, BooleanConnectives) {
   // Empty conjunction is TRUE, empty disjunction FALSE.
   EXPECT_TRUE(eval_pred(ex::land(std::vector<Expr>{}), vars, s));
   EXPECT_FALSE(eval_pred(ex::lor(std::vector<Expr>{}), vars, s));
+  EXPECT_EQ(error_of(ex::lnot(ex::add(ex::integer(1), ex::integer(2))), &s),
+            "eval: expected a boolean, got 3");
 }
 
 TEST_F(ExprTest, ShortCircuitSkipsIllTypedBranch) {
@@ -63,6 +81,9 @@ TEST_F(ExprTest, ShortCircuitSkipsIllTypedBranch) {
   Expr e = ex::land(ex::eq(ex::var(x), ex::integer(0)),
                     ex::eq(ex::head(ex::var(q)), ex::integer(0)));
   EXPECT_FALSE(eval_pred(e, vars, s));
+  // A null kid throws only when it is reached.
+  EXPECT_TRUE(eval_pred(ex::lor(ex::top(), Expr()), vars, s));
+  EXPECT_EQ(error_of(ex::lor(ex::bottom(), Expr()), &s), "eval: null expression");
 }
 
 TEST_F(ExprTest, SequenceOperators) {
@@ -82,8 +103,8 @@ TEST_F(ExprTest, ModuloAndIndexing) {
   State s = state(3, 2, Value::tuple({Value::integer(1), Value::integer(0)}));
   EXPECT_EQ(eval_fn(ex::mod(ex::var(x), ex::integer(2)), vars, s), Value::integer(1));
   EXPECT_EQ(eval_fn(ex::mod(ex::var(y), ex::var(y)), vars, s), Value::integer(0));
-  EXPECT_THROW(eval_fn(ex::mod(ex::var(x), ex::integer(0)), vars, s), std::runtime_error);
-  EXPECT_THROW(eval_fn(ex::mod(ex::var(x), ex::integer(-2)), vars, s), std::runtime_error);
+  EXPECT_EQ(error_of(ex::mod(ex::var(x), ex::integer(0)), &s), "eval: mod requires b > 0");
+  EXPECT_EQ(error_of(ex::mod(ex::var(x), ex::integer(-2)), &s), "eval: mod requires b > 0");
   // Floored modulo (TLC): the result has the divisor's sign, so -3 % 2 = 1.
   EXPECT_EQ(eval_fn(ex::mod(ex::neg(ex::var(x)), ex::integer(2)), vars, s),
             Value::integer(1));
@@ -91,8 +112,10 @@ TEST_F(ExprTest, ModuloAndIndexing) {
   EXPECT_EQ(eval_fn(ex::mod(ex::integer(-1), ex::integer(5)), vars, s), Value::integer(4));
   EXPECT_EQ(eval_fn(ex::index(ex::var(q), ex::integer(1)), vars, s), Value::integer(1));
   EXPECT_EQ(eval_fn(ex::index(ex::var(q), ex::var(y)), vars, s), Value::integer(0));
-  EXPECT_THROW(eval_fn(ex::index(ex::var(q), ex::integer(0)), vars, s), std::runtime_error);
-  EXPECT_THROW(eval_fn(ex::index(ex::var(q), ex::integer(3)), vars, s), std::runtime_error);
+  EXPECT_EQ(error_of(ex::index(ex::var(q), ex::integer(0)), &s),
+            "eval: sequence index 0 out of range for <<1, 0>>");
+  EXPECT_EQ(error_of(ex::index(ex::make_tuple({ex::var(x)}), ex::integer(3)), &s),
+            "eval: sequence index 3 out of range for <<3>>");
   EXPECT_EQ(ex::index(ex::var(q), ex::integer(2)).to_string(vars), "q[2]");
   EXPECT_EQ(ex::mod(ex::var(x), ex::integer(2)).to_string(vars), "x % 2");
 }
@@ -103,11 +126,11 @@ TEST_F(ExprTest, ArithmeticOverflowIsAnEvalError) {
   State s = state(0, 0);
   const Expr max = ex::integer(INT64_MAX);
   const Expr min = ex::integer(INT64_MIN);
-  EXPECT_THROW(eval_fn(ex::add(max, ex::integer(1)), vars, s), std::runtime_error);
-  EXPECT_THROW(eval_fn(ex::sub(min, ex::integer(1)), vars, s), std::runtime_error);
-  EXPECT_THROW(eval_fn(ex::mul(max, ex::integer(2)), vars, s), std::runtime_error);
-  EXPECT_THROW(eval_fn(ex::mul(min, ex::integer(-1)), vars, s), std::runtime_error);
-  EXPECT_THROW(eval_fn(ex::neg(min), vars, s), std::runtime_error);
+  EXPECT_EQ(error_of(ex::add(max, ex::integer(1)), &s), "eval: integer overflow in +");
+  EXPECT_EQ(error_of(ex::sub(min, ex::integer(1)), &s), "eval: integer overflow in -");
+  EXPECT_EQ(error_of(ex::mul(max, ex::integer(2)), &s), "eval: integer overflow in *");
+  EXPECT_EQ(error_of(ex::mul(min, ex::integer(-1)), &s), "eval: integer overflow in *");
+  EXPECT_EQ(error_of(ex::neg(min), &s), "eval: integer overflow in unary -");
   // The boundary cases right below overflow still evaluate.
   EXPECT_EQ(eval_fn(ex::add(max, ex::integer(0)), vars, s), Value::integer(INT64_MAX));
   EXPECT_EQ(eval_fn(ex::sub(min, ex::integer(0)), vars, s), Value::integer(INT64_MIN));
@@ -128,7 +151,12 @@ TEST_F(ExprTest, QuantifierBindingPoppedWhenBodyThrows) {
   EXPECT_THROW(eval(bad, ctx), std::runtime_error);
   EXPECT_TRUE(ctx.locals.empty());
   // The context stays usable: an unbound 'v' is still an error ...
-  EXPECT_THROW(eval(ex::local("v"), ctx), std::runtime_error);
+  try {
+    eval(ex::local("v"), ctx);
+    ADD_FAILURE() << "expected an unbound-local error";
+  } catch (const std::runtime_error& ex) {
+    EXPECT_STREQ(ex.what(), "eval: unbound local 'v'");
+  }
   // ... and ordinary evaluation proceeds normally.
   EXPECT_EQ(eval(ex::add(ex::var(x), ex::integer(1)), ctx), Value::integer(1));
 }
@@ -155,6 +183,13 @@ TEST_F(ExprTest, BoundedQuantifiers) {
       "v", range_domain(0, 0),
       ex::exists_val("v", range_domain(3, 3), ex::eq(ex::local("v"), ex::integer(3))));
   EXPECT_TRUE(eval_pred(nested, vars, s));
+  // A local operand is copied, not read in place: the other operand's
+  // quantifier pushes a binding, which can reallocate the locals.
+  Expr beside = ex::exists_val(
+      "v", range_domain(3, 3),
+      ex::eq(ex::local("v"), ex::ite(ex::exists_val("w", range_domain(0, 1), ex::top()),
+                                     ex::integer(3), ex::integer(0))));
+  EXPECT_TRUE(eval_pred(beside, vars, s));
 }
 
 TEST_F(ExprTest, ActionsReadPrimedFromNextState) {
@@ -167,10 +202,22 @@ TEST_F(ExprTest, ActionsReadPrimedFromNextState) {
   EXPECT_FALSE(eval_action(ex::unchanged({x}), vars, s, t));
 }
 
-TEST_F(ExprTest, PrimedVariableInStateFunctionContextThrows) {
+TEST_F(ExprTest, MissingStateThrows) {
   State s = state(0, 0);
-  EXPECT_THROW(eval_pred(ex::eq(ex::primed_var(x), ex::integer(0)), vars, s),
-               std::runtime_error);
+  EXPECT_EQ(error_of(ex::eq(ex::primed_var(x), ex::integer(0)), &s),
+            "eval: primed variable in a state-function context");
+  EXPECT_EQ(error_of(ex::var(x), nullptr), "eval: no current state");
+}
+
+TEST_F(ExprTest, OperandsAreEvaluatedLeftToRight) {
+  // Variables and constants are read in place and other operands
+  // evaluated, but the left operand's error still comes first.
+  State s = state(0, 0);
+  const Expr overflow = ex::add(ex::integer(INT64_MAX), ex::integer(1));
+  EXPECT_EQ(error_of(ex::eq(ex::primed_var(x), overflow), &s),
+            "eval: primed variable in a state-function context");
+  EXPECT_EQ(error_of(ex::eq(overflow, ex::primed_var(x)), &s),
+            "eval: integer overflow in +");
 }
 
 TEST_F(ExprTest, PrimeTransform) {
@@ -218,6 +265,13 @@ TEST_F(ExprTest, EnabledAsStatePredicateInsideEval) {
   Expr pred = ex::enabled(act);
   EXPECT_TRUE(eval_pred(pred, vars, state(0, 0)));
   EXPECT_FALSE(eval_pred(pred, vars, state(3, 0)));
+  // The action sees the enclosing quantifier's binding: x' = i has a
+  // witness for i in 2..3 but none for i in 7..9, outside x's domain.
+  Expr set_x = ex::eq(ex::primed_var(x), ex::local("i"));
+  EXPECT_TRUE(eval_pred(ex::exists_val("i", range_domain(2, 3), ex::enabled(set_x)), vars,
+                        state(1, 0)));
+  EXPECT_FALSE(eval_pred(ex::exists_val("i", range_domain(7, 9), ex::enabled(set_x)), vars,
+                         state(1, 0)));
 }
 
 TEST_F(ExprTest, Printing) {

@@ -229,7 +229,6 @@ TEST_F(ObsTest, RenderJsonGolden) {
       "      \"state_store\": " + empty_mem_domain + ",\n"
       "      \"state_graph\": " + empty_mem_domain + ",\n"
       "      \"frontier\": " + empty_mem_domain + ",\n"
-      "      \"vm_pools\": " + empty_mem_domain + ",\n"
       "      \"parser\": " + empty_mem_domain + ",\n"
       "      \"oracle\": " + empty_mem_domain + ",\n"
       "      \"other\": " + empty_mem_domain + "\n"
@@ -824,8 +823,8 @@ TEST_F(ObsTest, CountingAllocatorChargesContainerBlocks) {
     std::deque<int, obs::CountingAllocator<int>> q{
         obs::CountingAllocator<int>(obs::MemDomain::Frontier)};
     for (int i = 0; i < 1000; ++i) q.push_back(i);
-    const obs::MemDomainSnapshot& ms =
-        obs::snapshot().mem_domain(obs::MemDomain::Frontier);
+    const obs::Snapshot snap = obs::snapshot();
+    const obs::MemDomainSnapshot& ms = snap.mem_domain(obs::MemDomain::Frontier);
     EXPECT_GE(ms.live_bytes, 1000u * sizeof(int));
     EXPECT_GT(ms.allocs, 0u);
   }
@@ -883,7 +882,6 @@ TEST_F(ObsTest, ExplorationPopulatesMemoryDomains) {
   EXPECT_GT(snap.mem_domain(obs::MemDomain::StateStore).live_bytes, 0u);
   EXPECT_GT(snap.mem_domain(obs::MemDomain::StateGraph).live_bytes, 0u);
   EXPECT_GT(snap.mem_domain(obs::MemDomain::Frontier).peak_bytes, 0u);
-  EXPECT_GT(snap.mem_domain(obs::MemDomain::VmPools).live_bytes, 0u);
   std::uint64_t domain_live = 0;
   for (std::size_t d = 0; d < obs::kNumMemDomains; ++d) {
     domain_live += snap.mem[d].live_bytes;
