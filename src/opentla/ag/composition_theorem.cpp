@@ -48,20 +48,31 @@ Obligation skipped_obligation(std::string id, std::string description,
   return ob;
 }
 
-/// Folds a possibly-partial inclusion verdict into `ob`: a counterexample
+/// Folds a possibly-partial search verdict into `ob`: a counterexample
 /// refutes regardless of budget state; "holds" on a truncated product or
 /// pair search is inconclusive, never a discharge.
-void adopt_verdict(Obligation& ob, const ConstraintExplorer::Verdict& verdict) {
-  if (!verdict.holds) {
+void adopt_verdict(Obligation& ob, bool holds, run::StopReason stop_reason) {
+  if (!holds) {
     ob.discharged = false;
-  } else if (verdict.stop_reason != run::StopReason::kCompleted) {
+  } else if (stop_reason != run::StopReason::kCompleted) {
     ob.discharged = false;
     ob.inconclusive = true;
-    ob.detail += std::string(" [partial: run budget stop (") +
-                 run::to_string(verdict.stop_reason) + ")]";
+    ob.detail +=
+        std::string(" [partial: run budget stop (") + run::to_string(stop_reason) + ")]";
   } else {
     ob.discharged = true;
   }
+}
+
+/// The settings every product, pair search and state graph of a proof
+/// explores with.
+ExploreOptions explore_options(const CompositionOptions& opts) {
+  ExploreOptions out;
+  out.threads = opts.threads;
+  out.max_states = opts.max_states;
+  out.spill_at = opts.spill_at;
+  out.budget = opts.budget;
+  return out;
 }
 
 Mover free_tuple_mover(const VarTable& vars, const std::vector<VarId>& tuple) {
@@ -251,7 +262,7 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
     ConstraintExplorer explorer = [&] {
       ObligationTimer timer(report.h1_build_millis);
       return ConstraintExplorer(vars, constraints, build_movers(), init_enum, normalize,
-                                opts.max_nodes, opts.budget);
+                                explore_options(opts));
     }();
     for (std::size_t i = 0; i < components.size(); ++i) {
       OPENTLA_OBS_SPAN("fig9:2.1." + std::to_string(i + 1));
@@ -281,7 +292,7 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
       }();
       ob.detail = "product nodes: " + std::to_string(explorer.num_nodes()) +
                   ", pairs: " + std::to_string(verdict.pairs_visited);
-      adopt_verdict(ob, verdict);
+      adopt_verdict(ob, verdict.holds, verdict.stop_reason);
       if (!verdict.holds) ob.detail += "\n" + short_trace(vars, verdict.counterexample);
       report.add(std::move(ob));
     }
@@ -318,12 +329,12 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
       if (!unfrozen.empty()) movers.push_back(free_tuple_mover(vars, unfrozen));
 
       ConstraintExplorer explorer(vars, constraints, std::move(movers), init_enum, normalize,
-                                  opts.max_nodes, opts.budget);
+                                  explore_options(opts));
       PrefixMachine target(vars, goal_p1.closure);
       ConstraintExplorer::Verdict verdict = explorer.check_target(target);
       ob.detail = "product nodes: " + std::to_string(explorer.num_nodes()) +
                   ", pairs: " + std::to_string(verdict.pairs_visited);
-      adopt_verdict(ob, verdict);
+      adopt_verdict(ob, verdict.holds, verdict.stop_reason);
       if (!verdict.holds) ob.detail += "\n" + short_trace(vars, verdict.counterexample);
     }
     report.add(std::move(ob));
@@ -381,13 +392,8 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
       parts.push_back({make_pin(vars, pin_tuple, "PinUnconstrained"), /*mover=*/false});
     }
     try {
-      ExploreOptions explore_opts;
-      explore_opts.threads = opts.threads;
-      explore_opts.max_states = opts.max_states;
-      explore_opts.budget = opts.budget;
-      explore_opts.spill_at = opts.spill_at;
-      StateGraph low =
-          build_composite_graph(vars, parts, opts.free_tuples, pin_tuple, explore_opts);
+      StateGraph low = build_composite_graph(vars, parts, opts.free_tuples, pin_tuple,
+                                             explore_options(opts));
       if (low.stop_reason() != run::StopReason::kCompleted) {
         // Refinement (incl. its liveness side) is only meaningful on the
         // complete low graph; a truncated one can neither discharge nor
@@ -539,13 +545,8 @@ std::vector<Obligation> discharge_h2a_via_prop3(const VarTable& vars,
       std::vector<std::vector<VarId>> free_tuples = opts.free_tuples;
       if (!env_free.empty()) free_tuples.push_back(env_free);
 
-      ExploreOptions explore_opts;
-      explore_opts.threads = opts.threads;
-      explore_opts.max_states = opts.max_states;
-      explore_opts.budget = opts.budget;
-      explore_opts.spill_at = opts.spill_at;
       StateGraph r_graph =
-          build_composite_graph(vars, parts, free_tuples, pin_tuple, explore_opts);
+          build_composite_graph(vars, parts, free_tuples, pin_tuple, explore_options(opts));
       if (r_graph.stop_reason() != run::StopReason::kCompleted) {
         ob.discharged = false;
         ob.inconclusive = true;
@@ -555,10 +556,11 @@ std::vector<Obligation> discharge_h2a_via_prop3(const VarTable& vars,
       } else {
         PrefixMachine e_machine(vars, goal.assumption);
         PrefixMachine m_machine(vars, goal_p1.closure);
-        OrthogonalityResult orth = check_orthogonality(r_graph, e_machine, m_machine);
-        ob.discharged = orth.holds;
+        OrthogonalityResult orth =
+            check_orthogonality(r_graph, e_machine, m_machine, explore_options(opts));
         ob.detail = "R states: " + std::to_string(r_graph.num_states()) +
                     ", pairs: " + std::to_string(orth.pairs_visited);
+        adopt_verdict(ob, orth.holds, orth.stop_reason);
         if (!orth.holds) ob.detail += "\n" + short_trace(vars, orth.counterexample);
       }
     }
@@ -594,12 +596,12 @@ std::vector<Obligation> discharge_h2a_via_prop3(const VarTable& vars,
       for (const AGSpec& c : components) init_conjuncts.push_back(c.guarantee.init);
       ConstraintExplorer explorer(vars, constraints, std::move(movers),
                                   ex::land(std::move(init_conjuncts)), normalize,
-                                  opts.max_nodes, opts.budget);
+                                  explore_options(opts));
       PrefixMachine target(vars, goal_p1.closure);
       ConstraintExplorer::Verdict verdict = explorer.check_target(target);
       ob.detail = "product nodes: " + std::to_string(explorer.num_nodes()) +
                   ", pairs: " + std::to_string(verdict.pairs_visited);
-      adopt_verdict(ob, verdict);
+      adopt_verdict(ob, verdict.holds, verdict.stop_reason);
       if (!verdict.holds) ob.detail += "\n" + short_trace(vars, verdict.counterexample);
     }
     out.push_back(std::move(ob));

@@ -62,18 +62,23 @@ struct CompositionOptions {
   /// exhaustive.
   std::vector<std::vector<VarId>> component_outputs;
   std::vector<VarId> env_outputs;
-  std::size_t max_nodes = 1'000'000;
+  /// Cap on the states of each exploration: the nodes of the H1, H2a and
+  /// step 2.2 products, the pairs of each target or orthogonality search,
+  /// H2b's low graph and Proposition 3's R graph. Reaching it leaves the
+  /// obligation inconclusive (see ExploreOptions::max_states).
   std::size_t max_states = 2'000'000;
   /// Optional run budget (deadline / RSS / signal stop), polled by every
   /// exploration the verifier runs. On a breach the remaining obligations
   /// come back inconclusive instead of the run throwing. Not owned.
   run::RunBudget* budget = nullptr;
-  /// Worker threads for the state-graph explorations (H2b's low graph and
-  /// Proposition 3's R graph): 1 = serial, 0 = hardware concurrency. The
-  /// verdicts and graphs are identical for every value (see ExploreOptions).
+  /// Worker threads for the explorations: the H1, H2a and step 2.2
+  /// products, H2b's low graph and Proposition 3's R graph (pair searches
+  /// stay serial). 1 = serial, 0 = hardware concurrency. The verdicts and
+  /// graphs are identical for every value (see ExploreOptions).
   unsigned threads = 1;
-  /// Resident-byte budget for the state stores' arenas (see
-  /// ExploreOptions::spill_at). 0 = never spill.
+  /// Resident-byte budget for every exploration's state store arenas,
+  /// products and pair searches included (see ExploreOptions::spill_at).
+  /// 0 = never spill.
   std::uint64_t spill_at = 0;
   /// Also verify H1/H2a's closure side conditions semantically on graphs
   /// (slower; default is the syntactic Proposition 1 check only).

@@ -64,7 +64,6 @@ Value PrefixMachine::initial(const State& s) const {
     return false;
   });
   Value config = encode_config(std::move(alive_assignments));
-  max_config_ = std::max(max_config_, config.length());
   OPENTLA_OBS_GAUGE_MAX(PeakConfigurationCount, config.length());
   return config;
 }
@@ -137,7 +136,6 @@ Value PrefixMachine::step(const Value& config, const State& s, const State& t) c
                       [&](Value h_next) { next_assignments.push_back(std::move(h_next)); });
   }
   Value next = encode_config(std::move(next_assignments));
-  max_config_ = std::max(max_config_, next.length());
   OPENTLA_OBS_GAUGE_MAX(PeakConfigurationCount, next.length());
   return next;
 }

@@ -37,7 +37,8 @@ namespace opentla {
 
 /// Interface of a safety machine over a universe of states: feed it the
 /// states of a behavior one step at a time; `alive` says whether the prefix
-/// read so far satisfies the property.
+/// read so far satisfies the property. Implementations keep no mutable
+/// state: a product exploring on several threads calls them concurrently.
 class SafetyMachine {
  public:
   virtual ~SafetyMachine() = default;
@@ -72,10 +73,6 @@ class PrefixMachine final : public SafetyMachine {
 
   const CanonicalSpec& spec() const { return spec_; }
 
-  /// Largest configuration cardinality observed (diagnostic: how
-  /// nondeterministic the subset construction got).
-  std::size_t max_config_size() const { return max_config_; }
-
  private:
   struct Disjunct {
     ActionDisjunct parts;
@@ -96,7 +93,6 @@ class PrefixMachine final : public SafetyMachine {
   std::vector<VarId> visible_sub_;    // subscript vars that are not hidden
   std::vector<VarId> hidden_sub_;     // subscript vars that are hidden
   std::vector<Disjunct> disjuncts_;
-  mutable std::size_t max_config_ = 0;
 };
 
 /// Encodes a set of hidden-assignment tuples as a configuration Value.

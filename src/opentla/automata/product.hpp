@@ -18,6 +18,10 @@ class ProductMachine final : public SafetyMachine {
  public:
   explicit ProductMachine(std::vector<std::shared_ptr<const SafetyMachine>> factors);
 
+  /// A configuration is the tuple of the factors' live configurations, or
+  /// dead_config(): initial and step stop at the first dead factor and
+  /// return it, so the factors after that one are never stepped. Stepping
+  /// the dead configuration returns it unchanged.
   Value initial(const State& s) const override;
   Value step(const Value& config, const State& s, const State& t) const override;
   bool alive(const Value& config) const override;
@@ -25,7 +29,7 @@ class ProductMachine final : public SafetyMachine {
 
   std::size_t num_factors() const { return factors_.size(); }
   /// The configuration of one factor within a product configuration.
-  Value factor_config(const Value& config, std::size_t i) const;
+  const Value& factor_config(const Value& config, std::size_t i) const;
   const SafetyMachine& factor(std::size_t i) const { return *factors_[i]; }
 
  private:

@@ -1,9 +1,8 @@
 #include "opentla/check/inclusion.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <stdexcept>
-#include <unordered_map>
+#include <initializer_list>
+#include <optional>
 #include <unordered_set>
 
 #include "opentla/obs/obs.hpp"
@@ -29,238 +28,165 @@ Mover mover_from_spec(const VarTable& vars, const CanonicalSpec& spec, int const
 }
 
 namespace {
-struct NodeKey {
-  StateId state;
-  Value configs;
-  bool operator==(const NodeKey& other) const {
-    return state == other.state && configs == other.configs;
-  }
-};
-struct NodeKeyHash {
-  std::size_t operator()(const NodeKey& k) const {
-    return k.configs.hash() * 1099511628211ULL + k.state;
-  }
-};
+
+/// `vars` with extra state slots appended. Their values (machine
+/// configurations, state ids) are never enumerated; the one-value domain
+/// only names the slot.
+VarTable with_slots(VarTable vars, std::initializer_list<const char*> names) {
+  for (const char* name : names) vars.declare(name, Domain({Value::integer(0)}));
+  return vars;
+}
+
 }  // namespace
+
+DeadPairSearch find_dead_pair(const StateGraph& graph, const SafetyMachine& machine,
+                              const std::function<State(StateId)>& state_of,
+                              ExploreOptions opts) {
+  const VarTable pair_vars = with_slots(VarTable(), {"__state", "__config"});
+  auto pair = [](StateId id, Value config) {
+    return State({Value::integer(id), std::move(config)});
+  };
+
+  std::optional<State> dead;  // the first dead pair emitted
+  std::vector<State> inits;
+  for (StateId id : graph.initial()) {
+    inits.push_back(pair(id, machine.initial(state_of(id))));
+    if (!machine.alive(inits.back()[1])) {
+      dead = inits.back();
+      break;
+    }
+  }
+  auto succ = [&](const State& p, const std::function<void(const State&)>& emit) {
+    // Only the first dead pair is ever emitted, and from then on nothing
+    // expands: it is a sink, and the BFS drains without growing.
+    if (dead) return;
+    const StateId u = static_cast<StateId>(p[0].as_int());
+    const State s = state_of(u);
+    for (StateId v : graph.successors(u)) {
+      State next = pair(v, machine.step(p[1], s, state_of(v)));
+      if (!machine.alive(next[1])) dead = next;
+      emit(next);
+      if (dead) return;
+    }
+  };
+  opts.threads = 1;
+  opts.add_self_loops = false;
+  const StateGraph pairs(pair_vars, inits, succ, opts);
+  OPENTLA_OBS_COUNT_N(InclusionPairs, pairs.num_states());
+
+  DeadPairSearch result;
+  result.pairs = pairs.num_states();
+  result.stop_reason = pairs.stop_reason();
+  // A dead pair refused by the max_states cap is not in the graph.
+  const StateId goal = dead ? pairs.store().find(*dead) : StateStore::kNone;
+  if (goal != StateStore::kNone) {
+    for (StateId p : pairs.shortest_path_to([&](StateId p) { return p == goal; })) {
+      result.path.push_back(static_cast<StateId>(pairs.state(p)[0].as_int()));
+    }
+  }
+  return result;
+}
 
 ConstraintExplorer::ConstraintExplorer(
     const VarTable& vars, std::vector<std::shared_ptr<const SafetyMachine>> constraints,
-    std::vector<Mover> movers, Expr init_enum, std::vector<VarId> normalize,
-    std::size_t max_nodes, run::RunBudget* budget)
+    std::vector<Mover> movers, const Expr& init_enum, std::vector<VarId> normalize,
+    const ExploreOptions& opts)
     : vars_(&vars),
+      product_vars_(with_slots(vars, {"__config"})),
       constraints_(std::move(constraints)),
       movers_(std::move(movers)),
       normalize_(std::move(normalize)),
-      budget_(budget) {
+      opts_(opts),
+      graph_(explore(init_enum)) {}
+
+StateGraph ConstraintExplorer::explore(const Expr& init_enum) const {
   OPENTLA_OBS_SPAN("ConstraintExplorer.explore");
+  const VarTable& vars = *vars_;
+  const std::size_t width = vars.size();
   auto normalized = [&](State s) {
     for (VarId v : normalize_) s[v] = vars.domain(v)[0];
     return s;
   };
-  auto step_configs = [&](const Value& configs, const State& s, const State& t,
-                          Value& out) {
-    const Value::Tuple& parts = configs.as_tuple();
-    Value::Tuple next;
-    next.reserve(parts.size());
-    for (std::size_t i = 0; i < constraints_.size(); ++i) {
-      Value c = constraints_[i]->step(parts[i], s, t);
-      if (!constraints_[i]->alive(c)) return false;
-      next.push_back(std::move(c));
-    }
-    out = Value::tuple(std::move(next));
-    return true;
+  auto node = [](const State& visible, Value configs) {
+    std::vector<Value> values = visible.values();
+    values.push_back(std::move(configs));
+    return State(std::move(values));
   };
 
-  std::unordered_map<NodeKey, std::uint32_t, NodeKeyHash> index;
-  std::deque<std::uint32_t> frontier;
-
-  auto add_node = [&](const State& visible, Value configs,
-                      std::uint32_t parent) -> std::optional<std::uint32_t> {
-    const StateId sid = visible_.intern(visible);
-    NodeKey key{sid, configs};
-    auto it = index.find(key);
-    if (it != index.end()) return it->second;
-    if (nodes_.size() >= (std::uint32_t)-2) {
-      throw std::runtime_error("ConstraintExplorer: too many product nodes");
-    }
-    // Node budget reached: refuse the new node gracefully and latch the
-    // stop reason — the product built so far is a sound partial result.
-    if (nodes_.size() >= max_nodes) {
-      stop_reason_ = run::StopReason::kStateBudget;
-      return std::nullopt;
-    }
-    const std::uint32_t id = static_cast<std::uint32_t>(nodes_.size());
-    OPENTLA_OBS_COUNT(ProductNodes);
-    nodes_.push_back({sid, std::move(key.configs), parent});
-    adjacency_.emplace_back();
-    index.emplace(NodeKey{sid, nodes_.back().configs}, id);
-    frontier.push_back(id);
-    return id;
-  };
-
-  // --- Initial nodes ---
-  {
-    std::unordered_set<State, StateHash> seen;
-    for (const State& raw :
-         ActionSuccessors::states_satisfying(vars, init_enum, normalize_)) {
-      State s = normalized(raw);
-      if (!seen.insert(s).second) continue;
-      Value::Tuple configs;
-      bool alive = true;
-      for (const auto& c : constraints_) {
-        Value cfg = c->initial(s);
-        if (!c->alive(cfg)) {
-          alive = false;
-          break;
-        }
-        configs.push_back(std::move(cfg));
-      }
-      if (!alive) continue;
-      auto id = add_node(s, Value::tuple(std::move(configs)), UINT32_MAX);
-      if (id) init_nodes_.push_back(*id);
-    }
+  std::vector<State> inits;
+  for (const State& raw : ActionSuccessors::states_satisfying(vars, init_enum, normalize_)) {
+    const State s = normalized(raw);
+    Value configs = constraints_.initial(s);
+    if (constraints_.alive(configs)) inits.push_back(node(s, std::move(configs)));
   }
 
-  // --- Exploration ---
-  while (!frontier.empty()) {
-    if (stop_reason_ != run::StopReason::kCompleted) break;
-    if (budget_ != nullptr && budget_->should_stop()) {
-      stop_reason_ = budget_->reason();
-      break;
-    }
-    const std::uint32_t uid = frontier.front();
-    frontier.pop_front();
-    const State s = visible_.get(nodes_[uid].state);  // copy: store may grow
-    const Value configs = nodes_[uid].configs;
-    const Value::Tuple& config_parts = configs.as_tuple();
-
-    // Candidate successors: the movers' actions (with hidden sources drawn
-    // from the owning machine's configuration) plus the stutter step, which
-    // can only grow configurations (internal component moves).
-    std::unordered_set<State, StateHash> candidates;
-    candidates.insert(s);
+  // Candidate successors: the stutter step, which can only grow
+  // configurations (internal component moves), then the movers' actions in
+  // order, with hidden sources drawn from the owning machine's
+  // configuration. Each distinct candidate is stepped and emitted on first
+  // sight, so the emission order depends only on the node, as the parallel
+  // engine requires.
+  auto succ = [&](const State& u, const std::function<void(const State&)>& emit) {
+    const State s(std::vector<Value>(u.values().begin(), u.values().begin() + width));
+    const Value& configs = u[width];
+    std::unordered_set<State, StateHash> seen;
+    auto offer = [&](State candidate) {
+      const auto [it, fresh] = seen.insert(std::move(candidate));
+      if (!fresh) return;
+      const State& t = *it;
+      Value next = constraints_.step(configs, s, t);
+      if (!constraints_.alive(next)) return;
+      if (t == s && next == configs) return;  // no-op stutter
+      emit(node(t, std::move(next)));
+    };
+    offer(s);
     for (const Mover& m : movers_) {
       if (m.machine_index < 0) {
-        m.generator->for_each_successor(
-            s, [&](const State& t) { candidates.insert(normalized(t)); });
-      } else {
-        const Value sources =
-            constraints_[m.machine_index]->mover_configs(config_parts[m.machine_index]);
-        for (const Value& h : sources.as_tuple()) {
-          State source = s;
-          const Value::Tuple& hv = h.as_tuple();
-          for (std::size_t i = 0; i < m.hidden.size(); ++i) source[m.hidden[i]] = hv[i];
-          m.generator->for_each_successor(
-              source, [&](const State& t) { candidates.insert(normalized(t)); });
-        }
+        m.generator->for_each_successor(s, [&](const State& t) { offer(normalized(t)); });
+        continue;
+      }
+      const std::size_t i = static_cast<std::size_t>(m.machine_index);
+      const Value sources =
+          constraints_.factor(i).mover_configs(constraints_.factor_config(configs, i));
+      for (const Value& h : sources.as_tuple()) {
+        State source = s;
+        const Value::Tuple& hv = h.as_tuple();
+        for (std::size_t k = 0; k < m.hidden.size(); ++k) source[m.hidden[k]] = hv[k];
+        m.generator->for_each_successor(source,
+                                        [&](const State& t) { offer(normalized(t)); });
       }
     }
+  };
 
-    for (const State& t : candidates) {
-      Value next_configs;
-      if (!step_configs(configs, s, t, next_configs)) continue;
-      if (t == s && next_configs == configs) continue;  // no-op stutter
-      auto vid = add_node(t, std::move(next_configs), uid);
-      if (vid) {
-        adjacency_[uid].push_back(*vid);
-        ++num_edges_;
-      }
-    }
-  }
-  OPENTLA_OBS_GAUGE_MAX(PeakProductNodes, nodes_.size());
-  if (stop_reason_ != run::StopReason::kCompleted && budget_ != nullptr) {
-    budget_->request_stop(stop_reason_);
-  }
+  ExploreOptions opts = opts_;
+  opts.add_self_loops = false;
+  StateGraph graph(product_vars_, inits, succ, opts);
+  OPENTLA_OBS_COUNT_N(ProductNodes, graph.num_states());
+  OPENTLA_OBS_GAUGE_MAX(PeakProductNodes, graph.num_states());
+  return graph;
 }
 
-std::vector<State> ConstraintExplorer::trace_to(std::uint32_t node) const {
-  std::vector<State> out;
-  for (std::uint32_t n = node; n != UINT32_MAX; n = nodes_[n].parent) {
-    out.push_back(visible_.get(nodes_[n].state));
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
+State ConstraintExplorer::visible(StateId id) const {
+  State node = graph_.state(id);
+  std::vector<Value> values;
+  values.reserve(vars_->size());
+  for (VarId v = 0; v < vars_->size(); ++v) values.push_back(std::move(node[v]));
+  return State(std::move(values));
 }
 
 ConstraintExplorer::Verdict ConstraintExplorer::check_target(const SafetyMachine& target) const {
   OPENTLA_OBS_SPAN("ConstraintExplorer.check_target");
   OPENTLA_OBS_PHASE("check.inclusion");
+  const DeadPairSearch search =
+      find_dead_pair(graph_, target, [&](StateId id) { return visible(id); }, opts_);
   Verdict verdict;
   verdict.target_name = target.name();
+  verdict.holds = search.path.empty();
+  for (StateId id : search.path) verdict.counterexample.push_back(visible(id));
+  verdict.pairs_visited = search.pairs;
   // A partial product makes every "holds" verdict on it partial too.
-  verdict.stop_reason = stop_reason_;
-
-  struct PairKey {
-    std::uint32_t node;
-    Value config;
-    bool operator==(const PairKey& o) const { return node == o.node && config == o.config; }
-  };
-  struct PairKeyHash {
-    std::size_t operator()(const PairKey& k) const {
-      return k.config.hash() * 1099511628211ULL + k.node;
-    }
-  };
-
-  std::unordered_set<PairKey, PairKeyHash> visited;
-  // (product node, target config, node whose trace witnesses the path)
-  std::deque<PairKey> frontier;
-
-  for (std::uint32_t n : init_nodes_) {
-    const State& s = visible_.get(nodes_[n].state);
-    Value cfg = target.initial(s);
-    if (!target.alive(cfg)) {
-      verdict.holds = false;
-      verdict.counterexample = trace_to(n);
-      verdict.pairs_visited = visited.size();
-      return verdict;
-    }
-    PairKey key{n, std::move(cfg)};
-    if (visited.insert(key).second) {
-      OPENTLA_OBS_COUNT(InclusionPairs);
-      frontier.push_back(std::move(key));
-    }
-  }
-
-  // Parent tracking for counterexample reconstruction.
-  std::unordered_map<PairKey, PairKey, PairKeyHash> parent;
-
-  while (!frontier.empty()) {
-    if (budget_ != nullptr && budget_->should_stop()) {
-      verdict.stop_reason = budget_->reason();
-      break;
-    }
-    PairKey u = std::move(frontier.front());
-    frontier.pop_front();
-    const State& s = visible_.get(nodes_[u.node].state);
-    for (std::uint32_t vnode : adjacency_[u.node]) {
-      const State& t = visible_.get(nodes_[vnode].state);
-      Value cfg = target.step(u.config, s, t);
-      const bool dead = !target.alive(cfg);
-      PairKey v{vnode, std::move(cfg)};
-      if (!dead && !visited.insert(v).second) continue;
-      OPENTLA_OBS_COUNT(InclusionPairs);
-      parent.emplace(v, u);
-      if (dead) {
-        // Reconstruct the visible trace through the pair parents.
-        std::vector<State> trace;
-        PairKey cur = v;
-        while (true) {
-          trace.push_back(visible_.get(nodes_[cur.node].state));
-          auto it = parent.find(cur);
-          if (it == parent.end()) break;
-          cur = it->second;
-        }
-        std::reverse(trace.begin(), trace.end());
-        verdict.holds = false;
-        verdict.counterexample = std::move(trace);
-        verdict.pairs_visited = visited.size();
-        return verdict;
-      }
-      frontier.push_back(std::move(v));
-    }
-  }
-  verdict.holds = true;
-  verdict.pairs_visited = visited.size();
+  verdict.stop_reason =
+      stop_reason() != run::StopReason::kCompleted ? stop_reason() : search.stop_reason;
   return verdict;
 }
 

@@ -8,10 +8,12 @@
 // with P, Q_j safety properties (closures, possibly with hidden variables,
 // possibly wrapped by the freeze operator) and R a safety property. As the
 // paper observes (Section 5), the left-hand side is the specification of a
-// *complete system*; we explore that system as a product:
+// *complete system*; we explore that system as a product, which is a
+// StateGraph like every other exploration (budgets, spill, threads, obs):
 //
-//   product node  =  visible state (hidden entries normalized)
-//                    x one configuration per left-hand-side machine
+//   product node  =  visible state (hidden entries normalized), with the
+//                    ProductMachine configuration of the left-hand-side
+//                    machines appended as one extra value
 //
 // Candidate steps come from the union of the components' next-state
 // actions ("movers") plus stuttering; every step allowed by the
@@ -20,15 +22,20 @@
 // every visible variable belongs to some mover's subscript.
 //
 // R holds iff its machine stays alive along every reachable product path.
+// find_dead_pair decides that by exploring the pairs <product node, R's
+// configuration> as one more StateGraph; check/orthogonality runs the same
+// search with a machine for E _|_ M.
 
 #pragma once
 
+#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "opentla/automata/prefix_machine.hpp"
+#include "opentla/automata/product.hpp"
+#include "opentla/graph/state_graph.hpp"
 #include "opentla/graph/successor.hpp"
 #include "opentla/run/budget.hpp"
 #include "opentla/state/state.hpp"
@@ -56,6 +63,27 @@ struct Mover {
 Mover mover_from_spec(const VarTable& vars, const CanonicalSpec& spec, int constraint_index,
                       const std::vector<VarId>& normalized);
 
+/// A dead-pair search's answer (see find_dead_pair).
+struct DeadPairSearch {
+  /// Graph state ids from an initial state to one after which the machine
+  /// is dead, along a shortest such path; empty if no dead pair was found.
+  std::vector<StateId> path;
+  /// Pairs <graph state, machine configuration> the search interned.
+  std::size_t pairs = 0;
+  /// kCompleted unless opts.max_states or opts.budget cut the search short.
+  run::StopReason stop_reason = run::StopReason::kCompleted;
+};
+
+/// Runs `machine` along every path of `graph`, reading `state_of(id)` for
+/// graph state `id`, by exploring the pairs <state id, configuration> as a
+/// StateGraph of their own. A dead configuration is a sink, and once the
+/// first dead pair is emitted nothing else expands; because that early exit
+/// depends on expansion order, the search is serial whatever opts.threads
+/// says. opts.max_states caps the pairs, and opts.budget is polled.
+DeadPairSearch find_dead_pair(const StateGraph& graph, const SafetyMachine& machine,
+                              const std::function<State(StateId)>& state_of,
+                              ExploreOptions opts);
+
 /// Explores the product of the left-hand-side machines once; targets are
 /// then checked against the reified product graph.
 class ConstraintExplorer {
@@ -63,20 +91,22 @@ class ConstraintExplorer {
   /// `init_enum` enumerates candidate initial states of the universe
   /// (typically the conjunction of all components' Init predicates, with
   /// hidden variables included; their values are normalized away and
-  /// re-derived by the machines).
-  /// Reaching `max_nodes`, or a breach of `budget` (optional, not owned),
-  /// stops the product exploration gracefully; stop_reason() reports why
-  /// and check_target verdicts on the partial product are marked partial.
+  /// re-derived by the machines). `opts` configures the product's
+  /// exploration and every check_target search on it (threads, spill_at,
+  /// max_states, budget; add_self_loops is ignored). Reaching
+  /// opts.max_states, or a breach of opts.budget, stops the exploration
+  /// gracefully; stop_reason() reports why and check_target verdicts on the
+  /// partial product are marked partial.
   ConstraintExplorer(const VarTable& vars,
                      std::vector<std::shared_ptr<const SafetyMachine>> constraints,
-                     std::vector<Mover> movers, Expr init_enum, std::vector<VarId> normalize,
-                     std::size_t max_nodes = 1'000'000, run::RunBudget* budget = nullptr);
+                     std::vector<Mover> movers, const Expr& init_enum,
+                     std::vector<VarId> normalize, const ExploreOptions& opts = {});
+  /// graph_ points at product_vars_.
+  ConstraintExplorer(ConstraintExplorer&&) = delete;
 
-  std::size_t num_nodes() const { return nodes_.size(); }
-  std::size_t num_edges() const { return num_edges_; }
-  const VarTable& vars() const { return *vars_; }
+  std::size_t num_nodes() const { return graph_.num_states(); }
   /// Why product exploration ended (kCompleted = full product built).
-  run::StopReason stop_reason() const { return stop_reason_; }
+  run::StopReason stop_reason() const { return graph_.stop_reason(); }
 
   /// Checks |= LHS => target. On failure the verdict carries a finite trace
   /// of visible states after which the target's prefix machine is dead.
@@ -85,7 +115,7 @@ class ConstraintExplorer {
     bool holds = false;
     std::vector<State> counterexample;
     std::size_t pairs_visited = 0;
-    /// kCompleted = definitive. Otherwise the product or the pair BFS was
+    /// kCompleted = definitive. Otherwise the product or the pair search was
     /// cut short by a budget: a counterexample is still a real refutation
     /// (the partial product only contains reachable nodes), but `holds`
     /// merely means "no violation found within the budget".
@@ -96,25 +126,18 @@ class ConstraintExplorer {
   Verdict check_target(const SafetyMachine& target) const;
 
  private:
-  struct Node {
-    StateId state;
-    Value configs;
-    std::uint32_t parent;  // UINT32_MAX for initial nodes
-  };
-
-  std::vector<State> trace_to(std::uint32_t node) const;
+  StateGraph explore(const Expr& init_enum) const;
+  /// Product node `id` without its configuration slot.
+  State visible(StateId id) const;
 
   const VarTable* vars_;
-  std::vector<std::shared_ptr<const SafetyMachine>> constraints_;
+  /// vars_ plus the configuration slot.
+  VarTable product_vars_;
+  ProductMachine constraints_;
   std::vector<Mover> movers_;
   std::vector<VarId> normalize_;
-  StateStore visible_;
-  std::vector<Node> nodes_;
-  std::vector<std::vector<std::uint32_t>> adjacency_;
-  std::vector<std::uint32_t> init_nodes_;
-  std::size_t num_edges_ = 0;
-  run::RunBudget* budget_ = nullptr;
-  run::StopReason stop_reason_ = run::StopReason::kCompleted;
+  ExploreOptions opts_;
+  StateGraph graph_;
 };
 
 }  // namespace opentla

@@ -1,7 +1,6 @@
 #include "opentla/check/liveness.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "opentla/expr/eval.hpp"
 #include "opentla/graph/scc.hpp"
@@ -55,31 +54,8 @@ LeadsToResult check_leads_to(const StateGraph& graph, const std::vector<Fairness
 
   // Backward reachability through Q-free states: which states can escape
   // into a Q-free fair cycle without ever visiting Q?
-  std::vector<std::vector<StateId>> reverse(graph.num_states());
-  for (StateId u = 0; u < graph.num_states(); ++u) {
-    if (q_at(u)) continue;
-    for (StateId v : graph.successors(u)) {
-      if (!q_at(v)) reverse[v].push_back(u);
-    }
-  }
-  std::vector<char> escapes(graph.num_states(), 0);
-  std::deque<StateId> frontier;
-  for (StateId s = 0; s < graph.num_states(); ++s) {
-    if (cycle_state[s]) {
-      escapes[s] = 1;
-      frontier.push_back(s);
-    }
-  }
-  while (!frontier.empty()) {
-    const StateId v = frontier.front();
-    frontier.pop_front();
-    for (StateId u : reverse[v]) {
-      if (!escapes[u]) {
-        escapes[u] = 1;
-        frontier.push_back(u);
-      }
-    }
-  }
+  const std::vector<char> escapes =
+      graph.can_reach(cycle_state, [&](StateId s) { return !q_at(s); });
 
   // A violation needs a reachable P /\ ~Q state that escapes. (Every graph
   // node is reachable by construction.)

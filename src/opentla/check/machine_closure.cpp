@@ -1,6 +1,6 @@
 #include "opentla/check/machine_closure.hpp"
 
-#include <deque>
+#include <algorithm>
 
 #include "opentla/check/liveness.hpp"
 #include "opentla/expr/analysis.hpp"
@@ -78,29 +78,8 @@ MachineClosureResult check_machine_closure_on_graph(const StateGraph& graph,
     }
   }
 
-  // A state is extendable iff it reaches a good state: reverse BFS.
-  std::vector<std::vector<StateId>> reverse(graph.num_states());
-  for (StateId u = 0; u < graph.num_states(); ++u) {
-    for (StateId v : graph.successors(u)) reverse[v].push_back(u);
-  }
-  std::deque<StateId> frontier;
-  std::vector<char> extendable(graph.num_states(), 0);
-  for (StateId s = 0; s < graph.num_states(); ++s) {
-    if (good[s]) {
-      extendable[s] = 1;
-      frontier.push_back(s);
-    }
-  }
-  while (!frontier.empty()) {
-    const StateId v = frontier.front();
-    frontier.pop_front();
-    for (StateId u : reverse[v]) {
-      if (!extendable[u]) {
-        extendable[u] = 1;
-        frontier.push_back(u);
-      }
-    }
-  }
+  // A state is extendable iff it reaches a good state.
+  const std::vector<char> extendable = graph.can_reach(good, nullptr);
   for (StateId s = 0; s < graph.num_states(); ++s) {
     if (!extendable[s]) {
       result.machine_closed = false;

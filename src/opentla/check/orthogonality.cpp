@@ -1,82 +1,54 @@
 #include "opentla/check/orthogonality.hpp"
 
-#include <algorithm>
-#include <deque>
-#include <unordered_map>
+#include "opentla/check/inclusion.hpp"
 
 namespace opentla {
 
 namespace {
-struct Key {
-  StateId state;
-  Value ce;
-  Value cm;
-  bool operator==(const Key& o) const {
-    return state == o.state && ce == o.ce && cm == o.cm;
+
+/// E _|_ M as one safety machine over <E's configuration, M's
+/// configuration, ok>: it dies on a step that kills both live machines, or
+/// on a first state both reject.
+class OrthogonalMachine final : public SafetyMachine {
+ public:
+  OrthogonalMachine(const SafetyMachine& e, const SafetyMachine& m) : e_(e), m_(m) {}
+
+  Value initial(const State& s) const override {
+    Value ce = e_.initial(s);
+    Value cm = m_.initial(s);
+    // The n = 0 instance of the definition: both properties hold for the
+    // empty prefix (vacuously) and fail for the first state.
+    const bool ok = e_.alive(ce) || m_.alive(cm);
+    return Value::tuple({std::move(ce), std::move(cm), Value::boolean(ok)});
   }
-};
-struct KeyHash {
-  std::size_t operator()(const Key& k) const {
-    return (k.ce.hash() * 31 + k.cm.hash()) * 1099511628211ULL + k.state;
+  Value step(const Value& config, const State& s, const State& t) const override {
+    const Value::Tuple& c = config.as_tuple();
+    Value ce = e_.step(c[0], s, t);
+    Value cm = m_.step(c[1], s, t);
+    const bool both_die = e_.alive(c[0]) && m_.alive(c[1]) && !e_.alive(ce) && !m_.alive(cm);
+    return Value::tuple(
+        {std::move(ce), std::move(cm), Value::boolean(c[2].as_bool() && !both_die)});
   }
+  bool alive(const Value& config) const override { return config.as_tuple()[2].as_bool(); }
+  std::string name() const override { return e_.name() + " _|_ " + m_.name(); }
+
+ private:
+  const SafetyMachine& e_;
+  const SafetyMachine& m_;
 };
+
 }  // namespace
 
 OrthogonalityResult check_orthogonality(const StateGraph& generator, const SafetyMachine& e,
-                                        const SafetyMachine& m) {
+                                        const SafetyMachine& m, const ExploreOptions& opts) {
+  const DeadPairSearch search = find_dead_pair(
+      generator, OrthogonalMachine(e, m), [&](StateId id) { return generator.state(id); },
+      opts);
   OrthogonalityResult result;
-  std::unordered_map<Key, Key, KeyHash> parent;
-  std::deque<Key> frontier;
-  const Key no_parent{StateStore::kNone, Value(), Value()};
-
-  auto trace = [&](const Key& last) {
-    std::vector<State> out;
-    Key cur = last;
-    while (cur.state != StateStore::kNone) {
-      out.push_back(generator.state(cur.state));
-      auto it = parent.find(cur);
-      if (it == parent.end()) break;
-      cur = it->second;
-    }
-    std::reverse(out.begin(), out.end());
-    return out;
-  };
-
-  for (StateId s : generator.initial()) {
-    Key k{s, e.initial(generator.state(s)), m.initial(generator.state(s))};
-    // The n = 0 instance of the definition: both properties hold for the
-    // empty prefix (vacuously) and fail for the first state.
-    if (!e.alive(k.ce) && !m.alive(k.cm)) {
-      result.holds = false;
-      result.counterexample = {generator.state(s)};
-      result.pairs_visited = parent.size();
-      return result;
-    }
-    if (parent.emplace(k, no_parent).second) frontier.push_back(std::move(k));
-  }
-
-  while (!frontier.empty()) {
-    Key u = std::move(frontier.front());
-    frontier.pop_front();
-    const State& s = generator.state(u.state);
-    const bool e_alive = e.alive(u.ce);
-    const bool m_alive = m.alive(u.cm);
-    for (StateId vid : generator.successors(u.state)) {
-      const State& t = generator.state(vid);
-      Key v{vid, e.step(u.ce, s, t), m.step(u.cm, s, t)};
-      if (e_alive && m_alive && !e.alive(v.ce) && !m.alive(v.cm)) {
-        std::vector<State> prefix = trace(u);
-        prefix.push_back(t);
-        result.holds = false;
-        result.counterexample = std::move(prefix);
-        result.pairs_visited = parent.size();
-        return result;
-      }
-      if (parent.emplace(v, u).second) frontier.push_back(std::move(v));
-    }
-  }
-  result.holds = true;
-  result.pairs_visited = parent.size();
+  result.holds = search.path.empty();
+  for (StateId id : search.path) result.counterexample.push_back(generator.state(id));
+  result.pairs_visited = search.pairs;
+  result.stop_reason = search.stop_reason;
   return result;
 }
 

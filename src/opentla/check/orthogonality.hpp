@@ -7,9 +7,10 @@
 // interleaving (Disjoint) guarantees it (Proposition 4).
 //
 // The checker decides |= R => (E _|_ M) where the behaviors of R are given
-// by an explored StateGraph and E, M by safety machines: it walks the
-// product of the graph with both machines and looks for a reachable step
-// killing both at once.
+// by an explored StateGraph and E, M by safety machines: it runs
+// check/inclusion's dead-pair search with one machine for E _|_ M over
+// <E's configuration, M's configuration>, which dies on the first step
+// that kills both at once.
 
 #pragma once
 
@@ -27,12 +28,19 @@ struct OrthogonalityResult {
   /// both E and M simultaneously.
   std::vector<State> counterexample;
   std::size_t pairs_visited = 0;
+  /// kCompleted = definitive. Otherwise opts.max_states or opts.budget cut
+  /// the search short: a counterexample still refutes, but `holds` means
+  /// only "no violation found".
+  run::StopReason stop_reason = run::StopReason::kCompleted;
 
   explicit operator bool() const { return holds; }
 };
 
-/// Checks |= (behaviors of `generator`) => (E _|_ M).
+/// Checks |= (behaviors of `generator`) => (E _|_ M). `opts` caps the
+/// pairs (max_states), sets their spill budget and carries the run budget
+/// the search polls; the search is serial whatever opts.threads says.
 OrthogonalityResult check_orthogonality(const StateGraph& generator, const SafetyMachine& e,
-                                        const SafetyMachine& m);
+                                        const SafetyMachine& m,
+                                        const ExploreOptions& opts = {});
 
 }  // namespace opentla

@@ -198,4 +198,32 @@ std::vector<StateId> StateGraph::path(StateId from, const std::function<bool(Sta
   return {};
 }
 
+std::vector<char> StateGraph::can_reach(const std::vector<char>& target,
+                                        const std::function<bool(StateId)>& filter) const {
+  auto allowed = [&](StateId s) { return !filter || filter(s); };
+  std::vector<std::vector<StateId>> reverse(num_states());
+  for (StateId u = 0; u < num_states(); ++u) {
+    if (!allowed(u)) continue;
+    for (StateId v : adjacency_[u]) {
+      if (allowed(v)) reverse[v].push_back(u);
+    }
+  }
+  std::vector<char> marked = target;
+  std::deque<StateId> frontier;
+  for (StateId s = 0; s < num_states(); ++s) {
+    if (marked[s]) frontier.push_back(s);
+  }
+  while (!frontier.empty()) {
+    const StateId v = frontier.front();
+    frontier.pop_front();
+    for (StateId u : reverse[v]) {
+      if (!marked[u]) {
+        marked[u] = 1;
+        frontier.push_back(u);
+      }
+    }
+  }
+  return marked;
+}
+
 }  // namespace opentla

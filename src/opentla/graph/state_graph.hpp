@@ -40,9 +40,6 @@ struct ExploreOptions {
   std::size_t max_states = 2'000'000;
   /// Materialize the stuttering self-loop on every node.
   bool add_self_loops = true;
-  /// Seen-set stripes for the parallel engine (0 = default, 64). Rounded
-  /// up to a power of two. Ignored by the serial path.
-  std::size_t shards = 0;
   /// Resident-byte budget for the state store's arenas (tlacheck
   /// --spill-at): past it, sealed arena segments spill to mmap-backed
   /// temp files. 0 (the default) never spills. The graph is bit-identical
@@ -92,6 +89,12 @@ class StateGraph {
   /// states allowed by `filter` (null = all). Empty if unreachable.
   std::vector<StateId> path(StateId from, const std::function<bool(StateId)>& goal,
                             const std::function<bool(StateId)>& filter) const;
+
+  /// Backward reachability: marks (1) every state from which some state
+  /// with target[s] != 0 is reachable along edges between states allowed
+  /// by `filter` (null = all). Targets are marked themselves.
+  std::vector<char> can_reach(const std::vector<char>& target,
+                              const std::function<bool(StateId)>& filter) const;
 
  private:
   void explore_serial(const std::vector<State>& init_states, const SuccessorFn& succ,

@@ -42,7 +42,7 @@ enum class Counter : std::size_t {
   ConfigsExpanded,         // hidden-variable assignments stepped by PrefixMachine
   SccPasses,               // Tarjan decompositions run
   LassoCandidates,         // SCCs examined as fair-cycle candidates
-  InclusionPairs,          // (product node, target config) pairs visited
+  InclusionPairs,          // pairs interned by dead-pair searches (find_dead_pair)
   ProductNodes,            // nodes interned by ConstraintExplorer
   ProductSteps,            // ProductMachine::step calls
   FreezeSteps,             // FreezeMachine::step calls

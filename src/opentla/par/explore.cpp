@@ -46,7 +46,7 @@ ExploreResult explore(const std::vector<State>& init_states,
   OPENTLA_OBS_SPAN("par.explore");
   OPENTLA_OBS_GAUGE_MAX(PeakParWorkers, threads);
 
-  ShardedStateSet seen(opts.shards, opts.spill_at);
+  ShardedStateSet seen(/*shard_count=*/0, opts.spill_at);
   std::vector<WorkQueue> queues(threads);
   std::vector<std::vector<Expanded>> records(threads);
 

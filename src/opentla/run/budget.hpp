@@ -28,7 +28,7 @@ namespace opentla::run {
 /// other value names the budget that was breached first.
 enum class StopReason : int {
   kCompleted = 0,
-  kStateBudget,  // ExploreOptions::max_states / max_nodes reached
+  kStateBudget,  // ExploreOptions::max_states reached
   kDeadline,     // wall-clock deadline passed
   kMemory,       // resident set size crossed the ceiling
   kInterrupted,  // SIGINT/SIGTERM requested a graceful stop

@@ -23,6 +23,9 @@
 // steps, successor sets and enabled() must equal brute force and the tree
 // ENABLED, which keeps the source split.
 //
+// A ninth axis pins the product searches behind H1/H2a and Figure 9's step
+// 2.1, which stop at the first dead pair, against the semantic layer.
+//
 // Every assertion carries the failing seed and case index so a failure is
 // reproducible in isolation.
 
@@ -35,7 +38,10 @@
 #include <vector>
 
 #include "opentla/analysis/independence.hpp"
+#include "opentla/automata/prefix_machine.hpp"
+#include "opentla/check/inclusion.hpp"
 #include "opentla/check/invariant.hpp"
+#include "opentla/check/orthogonality.hpp"
 #include "opentla/compose/compose.hpp"
 #include "opentla/expr/eval.hpp"
 #include "opentla/graph/successor.hpp"
@@ -163,6 +169,76 @@ TEST_P(DifferentialHarness, SerialParallelAndSemanticVerdictsAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialHarness, ::testing::Range(0u, kSeeds));
+
+/// Ninth differential axis: the dead-pair searches. For CaseGen's random
+/// SX and SY,
+///   - check_target(T) on the product of SX's, SY's and a random R's prefix
+///     machines (movers SX and SY; R only constrains, so its machine dies
+///     on some candidate steps), for a random target T, decides
+///     closure(SX) /\ closure(SY) /\ closure(R) => closure(T);
+///   - check_orthogonality on SX /\ SY's composite graph, for random A and
+///     B, decides spec(SX) /\ spec(SY) => (A _|_ B).
+/// "Holds" must mean no lasso up to the bound violates the claim, and a
+/// counterexample, closed by stuttering, must refute it per the Oracle.
+constexpr unsigned kProductCasesPerSeed = 15;
+
+class ProductSearchHarness : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ProductSearchHarness, TargetAndOrthogonalityVerdictsMatchTheSemantics) {
+  const unsigned seed = GetParam();
+  CaseGen gen(seed);
+  const VarTable& vars = gen.vars();
+  Oracle oracle(vars);
+  std::size_t refuted = 0;
+  auto expect_decides = [&](const Formula& claim, bool holds,
+                            const std::vector<State>& counterexample) {
+    if (holds) {
+      BoundedValidity bv = check_validity_bounded(vars, claim, /*max_len=*/3);
+      EXPECT_TRUE(bv.valid) << (bv.violation ? bv.violation->to_string(vars)
+                                             : std::string("(no witness)"));
+      return;
+    }
+    ++refuted;
+    ASSERT_FALSE(counterexample.empty());
+    LassoBehavior witness(counterexample, counterexample.size() - 1);
+    EXPECT_FALSE(oracle.evaluate(claim, witness)) << witness.to_string(vars);
+  };
+  auto random_spec = [&](std::string name) {
+    return gen.coin() ? gen.spec(gen.x(), gen.y(), std::move(name))
+                      : gen.spec(gen.y(), gen.x(), std::move(name));
+  };
+
+  for (unsigned c = 0; c < kProductCasesPerSeed; ++c) {
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " case=" + std::to_string(c));
+    CanonicalSpec sx = gen.spec(gen.x(), gen.y(), "SX");
+    CanonicalSpec sy = gen.spec(gen.y(), gen.x(), "SY");
+
+    CanonicalSpec r = random_spec("R");
+    CanonicalSpec t = random_spec("T");
+    std::vector<std::shared_ptr<const SafetyMachine>> constraints = {
+        std::make_shared<PrefixMachine>(vars, sx), std::make_shared<PrefixMachine>(vars, sy),
+        std::make_shared<PrefixMachine>(vars, r)};
+    std::vector<Mover> movers = {mover_from_spec(vars, sx, 0, {}),
+                                 mover_from_spec(vars, sy, 1, {})};
+    ConstraintExplorer explorer(vars, constraints, movers, ex::land(sx.init, sy.init), {});
+    const ConstraintExplorer::Verdict v = explorer.check_target(PrefixMachine(vars, t));
+    expect_decides(
+        tf::implies(tf::land({tf::closure(sx), tf::closure(sy), tf::closure(r)}), tf::closure(t)),
+        v.holds, v.counterexample);
+
+    CanonicalSpec a = random_spec("A");
+    CanonicalSpec b = random_spec("B");
+    StateGraph g = build_composite_graph(vars, {{sx, true}, {sy, true}});
+    const OrthogonalityResult o =
+        check_orthogonality(g, PrefixMachine(vars, a), PrefixMachine(vars, b));
+    expect_decides(tf::implies(tf::land(tf::spec(sx), tf::spec(sy)), tf::orthogonal(a, b)),
+                   o.holds, o.counterexample);
+  }
+  // Non-vacuity: some claims fail, so the early exit is exercised.
+  EXPECT_GT(refuted, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ProductSearchHarness, ::testing::Range(0u, kSeeds));
 
 /// Random actions over a three-variable universe, biased toward residual
 /// constraints (primed-primed comparisons, negative constraints) so the

@@ -200,8 +200,9 @@ TEST_F(InclusionTest, NodeLimitStopsGracefully) {
   std::vector<std::shared_ptr<const SafetyMachine>> constraints = {
       std::make_shared<PrefixMachine>(vars, sx)};
   std::vector<Mover> movers = {mover_from_spec(vars, sx, 0, {y})};
-  ConstraintExplorer explorer(vars, constraints, movers, sx.init, {y},
-                              /*max_nodes=*/1);
+  ExploreOptions opts;
+  opts.max_states = 1;
+  ConstraintExplorer explorer(vars, constraints, movers, sx.init, {y}, opts);
   EXPECT_EQ(explorer.num_nodes(), 1u);
   EXPECT_EQ(explorer.stop_reason(), run::StopReason::kStateBudget);
   // A verdict computed on the capped product is marked partial.

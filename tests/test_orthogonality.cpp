@@ -75,6 +75,20 @@ TEST_F(OrthogonalityTest, SimultaneousMovesBreakOrthogonality) {
   EXPECT_EQ(last[y].as_int(), 1);
 }
 
+TEST_F(OrthogonalityTest, StoppedBudgetLeavesTheSearchIncomplete) {
+  StateGraph g = generator(/*interleaved=*/true);
+  PrefixMachine e(vars, ex_spec);
+  PrefixMachine m(vars, my_spec);
+  run::RunBudget budget;
+  budget.request_stop(run::StopReason::kInterrupted);
+  ExploreOptions opts;
+  opts.budget = &budget;
+  OrthogonalityResult r = check_orthogonality(g, e, m, opts);
+  // No violation was found, but the search did not finish: not a proof.
+  EXPECT_NE(r.stop_reason, run::StopReason::kCompleted);
+  EXPECT_TRUE(r.counterexample.empty());
+}
+
 TEST_F(OrthogonalityTest, AgreesWithOracleOnAllLassos) {
   // E _|_ M as evaluated by the oracle must match a direct prefix-machine
   // simulation on every lasso of the universe (up to length 3).

@@ -4,7 +4,8 @@
 // same initial() list. Checked node-by-node and edge-by-edge on the
 // paper's spaces (the Figure 2 handshake channel, the Figure 4 queue, the
 // Figure 9 double-queue composition), plus the overflow and empty-input
-// edge cases the serial engine defines.
+// edge cases the serial engine defines. verify_composition's reports, whose
+// products also run on the engine, are pinned the same way.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "opentla/ag/composition_theorem.hpp"
 #include "opentla/compose/compose.hpp"
 #include "opentla/graph/state_graph.hpp"
 #include "opentla/graph/successor.hpp"
@@ -36,6 +38,13 @@ ExploreOptions with_threads(unsigned threads, std::size_t max_states = 2'000'000
   opts.max_states = max_states;
   return opts;
 }
+
+/// Shrinks arena segments for one test, so that a small space spans many
+/// segments and a 1-byte spill budget really spills.
+struct SegmentGuard {
+  explicit SegmentGuard(std::size_t b) { set_arena_segment_bytes_for_test(b); }
+  ~SegmentGuard() { set_arena_segment_bytes_for_test(0); }
+};
 
 /// Bit-identical graph equality: ids, adjacency order, initial order, and
 /// the interned state behind every id.
@@ -274,10 +283,7 @@ TEST(ParallelExplore, SpillKeepsGraphsBitIdenticalAcrossThreadCounts) {
   // every id now coming back from mmap'd temp files. Part of the TSan
   // suite (tools/ci_sanitize.sh), so the shard arenas' spill accounting
   // is also raced against the worker pool.
-  struct SegmentGuard {
-    explicit SegmentGuard(std::size_t b) { set_arena_segment_bytes_for_test(b); }
-    ~SegmentGuard() { set_arena_segment_bytes_for_test(0); }
-  } guard(512);
+  SegmentGuard guard(512);
 
   ChannelSpace space(64);  // 130 reachable states, well past one segment
   StateGraph baseline(space.vars, {space.init}, space.succ(), with_threads(1));
@@ -293,10 +299,53 @@ TEST(ParallelExplore, SpillKeepsGraphsBitIdenticalAcrossThreadCounts) {
       expect_identical(baseline, g, threads);
     }
   }
-  // Non-vacuity: the 1-byte budget must actually have spilled segments.
-  EXPECT_GE(obs::snapshot().counter(obs::Counter::SpillSegments), 1u);
+  // Non-vacuity: the 1-byte budget must actually have spilled segments
+  // (counted only where the counters are compiled in).
+  if (obs::compile_time_enabled()) {
+    EXPECT_GE(obs::snapshot().counter(obs::Counter::SpillSegments), 1u);
+  }
   obs::set_enabled(false);
   obs::reset();
+}
+
+TEST(ParallelExplore, CompositionReportsIdenticalAcrossThreadsAndSpill) {
+  // verify_composition runs every product, pair search and state graph on
+  // StateGraph. Figure 9's proof of formula (4) and its refutation of
+  // formula (3), without G, must report the same obligations (ids,
+  // verdicts, node and pair counts, counterexamples) for every thread
+  // count, spill off or on. Part of the TSan suite, so the products'
+  // successor function races against the worker pool.
+  SegmentGuard guard(512);
+
+  DoubleQueueSystem sys = make_double_queue(/*capacity=*/1, /*num_values=*/2);
+  const std::vector<AGSpec> without_g = {{sys.qe1, sys.qm1}, {sys.qe2, sys.qm2}};
+  for (const std::vector<AGSpec>& components : {sys.components(), without_g}) {
+    std::vector<Obligation> baseline;
+    for (std::uint64_t spill_at : {std::uint64_t{0}, std::uint64_t{1}}) {
+      for (unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE("spill_at=" + std::to_string(spill_at) +
+                     " threads=" + std::to_string(threads));
+        CompositionOptions opts;
+        opts.goal_witness = {{"q", sys.qbar}};
+        opts.threads = threads;
+        opts.spill_at = spill_at;
+        const ProofReport r = verify_composition(sys.vars, components, sys.goal(), opts);
+        if (baseline.empty()) {
+          // Non-vacuity: the proof goes through, the refutation does not.
+          EXPECT_EQ(r.all_discharged(), components.size() == 3) << r.to_string();
+          baseline = r.obligations;
+          continue;
+        }
+        ASSERT_EQ(r.obligations.size(), baseline.size());
+        for (std::size_t i = 0; i < baseline.size(); ++i) {
+          EXPECT_EQ(r.obligations[i].id, baseline[i].id);
+          EXPECT_EQ(r.obligations[i].discharged, baseline[i].discharged) << baseline[i].id;
+          EXPECT_EQ(r.obligations[i].inconclusive, baseline[i].inconclusive) << baseline[i].id;
+          EXPECT_EQ(r.obligations[i].detail, baseline[i].detail) << baseline[i].id;
+        }
+      }
+    }
+  }
 }
 
 TEST(ParallelExplore, SuccessorEmissionOrderIsDeterministic) {

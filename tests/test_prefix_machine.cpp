@@ -57,7 +57,6 @@ TEST_F(HiddenCounterTest, HiddenStepsAccumulateDuringVisibleStutter) {
   EXPECT_EQ(cfg.length(), 2u);  // h in {0, 1}
   cfg = m.step(cfg, st(0), st(0));
   EXPECT_EQ(cfg.length(), 3u);  // h in {0, 1, 2}
-  EXPECT_GE(m.max_config_size(), 3u);
 }
 
 TEST_F(HiddenCounterTest, VisibleFlipRequiresEnoughHiddenProgress) {

@@ -578,7 +578,6 @@ int cmd_compose(const std::vector<std::pair<std::string, std::string>>& componen
 
   CompositionOptions opts;
   opts.max_states = max_states;
-  opts.max_nodes = max_states;
   opts.threads = threads;
   opts.spill_at = spill_at;
   opts.budget = budget;
