@@ -125,20 +125,6 @@ void BM_FullProofFlightRecorder(benchmark::State& state) {
 }
 BENCHMARK(BM_FullProofFlightRecorder)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
-void BM_FullProofInterleaved(benchmark::State& state) {
-  // The interleaving optimization (sound because G is among the
-  // components): each mover varies only its own outputs and buffer.
-  DoubleQueueSystem sys = make_double_queue(static_cast<int>(state.range(0)), 2);
-  CompositionOptions opts = options(sys);
-  opts.env_outputs = sys.env_out;
-  opts.component_outputs = {{}, sys.q1_out, sys.q2_out};
-  for (auto _ : state) {
-    ProofReport proof = verify_composition(sys.vars, sys.components(), sys.goal(), opts);
-    benchmark::DoNotOptimize(proof.all_discharged());
-  }
-}
-BENCHMARK(BM_FullProofInterleaved)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
-
 void BM_RefutationWithoutG(benchmark::State& state) {
   DoubleQueueSystem sys = make_double_queue(static_cast<int>(state.range(0)), 2);
   CompositionOptions opts = options(sys);

@@ -29,33 +29,16 @@ struct Product {
   std::vector<VarId> pin;
 };
 
-/// With `interleaved`, each mover is pinned to its own outputs and state —
-/// the optimization verify_composition enables under a Disjoint conjunct
-/// (opts.component_outputs). The default product leaves every mover free
-/// to enumerate the whole unpinned universe, which the footprint analysis
-/// must treat as writes: its matrix is fully dependent, while the
-/// interleaved product's matrix recovers the declared disjointness.
-Product make_product(bool interleaved) {
+/// Each mover's unit scope is what a step of that mover alone enumerates
+/// (compose/composite_action_units): the other movers' subscripts stay
+/// unchanged, so the matrix recovers the components' disjointness without
+/// any hint.
+Product make_product() {
   Product p{make_double_queue(1, 2), {}, {}};
   const AGSpec goal = p.sys.goal();
-  const std::vector<std::vector<VarId>> outputs = {{}, p.sys.q1_out, p.sys.q2_out};
-  auto pinned_for = [&](const std::vector<VarId>& own_out, const std::vector<VarId>& hidden) {
-    std::vector<VarId> pinned;
-    if (!interleaved || own_out.empty()) return pinned;
-    std::set<VarId> own(own_out.begin(), own_out.end());
-    own.insert(hidden.begin(), hidden.end());
-    for (VarId v = 0; v < p.sys.vars.size(); ++v) {
-      if (!own.contains(v)) pinned.push_back(v);
-    }
-    return pinned;
-  };
-  p.parts.push_back(
-      {goal.assumption, /*mover=*/true, pinned_for(p.sys.env_out, goal.assumption.hidden)});
-  const std::vector<AGSpec> components = p.sys.components();
-  for (std::size_t j = 0; j < components.size(); ++j) {
-    const AGSpec& c = components[j];
-    p.parts.push_back({c.guarantee.unhidden(), c.guarantee_is_mover,
-                       pinned_for(outputs[j], c.guarantee.hidden)});
+  p.parts.push_back({goal.assumption, /*mover=*/true});
+  for (const AGSpec& c : p.sys.components()) {
+    p.parts.push_back({c.guarantee.unhidden(), c.guarantee_is_mover});
   }
   std::set<VarId> covered;
   for (const CompositePart& part : p.parts) {
@@ -84,20 +67,13 @@ void print_matrix(const analysis::IndependenceMatrix& m) {
 
 void artifact() {
   std::printf("=== INDEPENDENCE: static matrix on the fig9 H2b product ===\n\n");
-  Product p = make_product(/*interleaved=*/false);
+  Product p = make_product();
 
   const std::vector<analysis::ActionUnit> units =
       composite_action_units(p.sys.vars, p.parts, {}, p.pin);
   const analysis::IndependenceMatrix m = analysis::compute_independence(p.sys.vars, units);
   std::printf("units: %zu action disjuncts across %zu movers\n", m.size(), p.parts.size());
-  std::printf("-- default product (every mover enumerates the whole universe) --\n");
   print_matrix(m);
-
-  Product pi = make_product(/*interleaved=*/true);
-  const analysis::IndependenceMatrix mi = analysis::compute_independence(
-      pi.sys.vars, composite_action_units(pi.sys.vars, pi.parts, {}, pi.pin));
-  std::printf("-- interleaved product (movers pinned to their own outputs) --\n");
-  print_matrix(mi);
 
   // The budget assertion: matrix cost < 1% of exploring the same product.
   // Exploration is timed once (it dominates); the matrix is averaged over
@@ -137,7 +113,7 @@ void artifact() {
 }
 
 void BM_CompositeActionUnits(benchmark::State& state) {
-  Product p = make_product(/*interleaved=*/false);
+  Product p = make_product();
   for (auto _ : state) {
     std::vector<analysis::ActionUnit> units =
         composite_action_units(p.sys.vars, p.parts, {}, p.pin);
@@ -147,7 +123,7 @@ void BM_CompositeActionUnits(benchmark::State& state) {
 BENCHMARK(BM_CompositeActionUnits)->Unit(benchmark::kMicrosecond);
 
 void BM_IndependenceMatrix(benchmark::State& state) {
-  Product p = make_product(/*interleaved=*/false);
+  Product p = make_product();
   const std::vector<analysis::ActionUnit> units =
       composite_action_units(p.sys.vars, p.parts, {}, p.pin);
   for (auto _ : state) {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "opentla/ag/propositions.hpp"
+#include "opentla/analysis/footprint.hpp"
 #include "opentla/automata/freeze.hpp"
 #include "opentla/check/inclusion.hpp"
 #include "opentla/check/invariant.hpp"
@@ -14,6 +15,7 @@
 #include "opentla/compose/compose.hpp"
 #include "opentla/expr/analysis.hpp"
 #include "opentla/obs/obs.hpp"
+#include "opentla/tla/disjoint.hpp"
 
 namespace opentla {
 
@@ -75,15 +77,64 @@ ExploreOptions explore_options(const CompositionOptions& opts) {
   return out;
 }
 
+/// Whether a Disjoint among `parts` (tla/disjoint) forbids every step
+/// that changes the hidden variables of two of `owners`. It does when each
+/// owner's hidden variables lie in its subscript, so a step that changes
+/// them is one of its action's steps, and for every two owners some
+/// Disjoint has two tuples, one changed by every step of each
+/// (analysis::must_change).
+bool hidden_steps_kept_apart(const VarTable& vars, const std::vector<CanonicalSpec>& owners,
+                             const std::vector<CompositePart>& parts) {
+  std::vector<std::vector<std::vector<VarId>>> disjoints;
+  for (const CompositePart& p : parts) {
+    std::vector<std::vector<VarId>> tuples = disjoint_tuples(p.spec);
+    if (!tuples.empty()) disjoints.push_back(std::move(tuples));
+  }
+  // Per owner, the <Disjoint, tuple> pairs its every step changes.
+  std::vector<std::set<std::pair<std::size_t, std::size_t>>> changed(owners.size());
+  for (std::size_t o = 0; o < owners.size(); ++o) {
+    const CanonicalSpec& spec = owners[o];
+    const std::set<VarId> sub(spec.sub.begin(), spec.sub.end());
+    if (!std::all_of(spec.hidden.begin(), spec.hidden.end(),
+                     [&](VarId v) { return sub.contains(v); })) {
+      return false;
+    }
+    const std::vector<std::vector<VarId>> must = analysis::must_change_by_disjunct(spec.next, vars);
+    for (std::size_t d = 0; d < disjoints.size(); ++d) {
+      for (std::size_t a = 0; a < disjoints[d].size(); ++a) {
+        const std::vector<VarId>& tuple = disjoints[d][a];
+        const bool every_step = std::all_of(must.begin(), must.end(), [&](const auto& m) {
+          return std::find_first_of(m.begin(), m.end(), tuple.begin(), tuple.end()) != m.end();
+        });
+        if (every_step) changed[o].insert({d, a});
+      }
+    }
+  }
+  for (std::size_t x = 0; x < owners.size(); ++x) {
+    for (std::size_t y = x + 1; y < owners.size(); ++y) {
+      const bool apart = std::any_of(changed[x].begin(), changed[x].end(), [&](const auto& cx) {
+        return std::any_of(changed[y].begin(), changed[y].end(), [&](const auto& cy) {
+          return cx.first == cy.first && cx.second != cy.second;
+        });
+      });
+      if (!apart) return false;
+    }
+  }
+  return true;
+}
+
+/// A mover setting `tuple` to arbitrary values and nothing else. No
+/// machine confines it, so its tuple also ranges beside other movers'
+/// steps.
 Mover free_tuple_mover(const VarTable& vars, const std::vector<VarId>& tuple) {
   std::vector<VarId> complement;
   for (VarId v = 0; v < vars.size(); ++v) {
     if (std::find(tuple.begin(), tuple.end(), v) == tuple.end()) complement.push_back(v);
   }
   Mover m;
-  m.generator = std::make_shared<ActionSuccessors>(vars, ex::unchanged(complement));
-  m.machine_index = -1;
-  m.label = "free-move";
+  m.step.next = ex::unchanged(complement);
+  m.step.sub = tuple;
+  m.step.label = "free-move";
   return m;
 }
 
@@ -190,39 +241,16 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
   for (const AGSpec& c : components) init_conjuncts.push_back(c.guarantee.init);
   const Expr init_enum = ex::land(std::move(init_conjuncts));
 
-  // With the interleaving optimization, a component's mover varies only
-  // its declared outputs and hidden variables; everything else is pinned
-  // (the Disjoint conjunct among the components filters any step the
-  // pinning could miss).
-  const bool interleaved = !opts.component_outputs.empty();
-  auto pinned_for = [&](const std::vector<VarId>& outputs,
-                        const std::vector<VarId>& hidden) {
-    std::vector<VarId> pinned = normalize;
-    if (!interleaved || outputs.empty()) return pinned;
-    std::set<VarId> own(outputs.begin(), outputs.end());
-    own.insert(hidden.begin(), hidden.end());
-    for (VarId v = 0; v < vars.size(); ++v) {
-      if (!own.contains(v)) pinned.push_back(v);
-    }
-    return pinned;
-  };
-
   auto build_movers = [&]() {
     std::vector<Mover> movers;
     std::set<VarId> covered;
     if (!is_trivial_spec(goal.assumption) && !goal.assumption.sub.empty()) {
-      movers.push_back(mover_from_spec(
-          vars, goal.assumption, 0,
-          pinned_for(opts.env_outputs, goal.assumption.hidden)));
+      movers.push_back(mover_from_spec(goal.assumption, 0, normalize));
       covered.insert(goal.assumption.sub.begin(), goal.assumption.sub.end());
     }
     for (std::size_t j = 0; j < components.size(); ++j) {
       if (!components[j].guarantee_is_mover || components[j].guarantee.sub.empty()) continue;
-      const std::vector<VarId> outputs =
-          j < opts.component_outputs.size() ? opts.component_outputs[j]
-                                            : std::vector<VarId>{};
-      movers.push_back(mover_from_spec(vars, closures[j], static_cast<int>(1 + j),
-                                       pinned_for(outputs, closures[j].hidden)));
+      movers.push_back(mover_from_spec(closures[j], static_cast<int>(1 + j), normalize));
       covered.insert(closures[j].sub.begin(), closures[j].sub.end());
     }
     for (const std::vector<VarId>& tuple : opts.free_tuples) {
@@ -231,9 +259,9 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
     }
     // Relevant visible variables no mover writes are unconstrained by the
     // conjunction (no [N]_v mentions them): they may change at any step.
-    // Changes combined with component moves are enumerated by the movers
-    // themselves (such variables are never pinned); changes while every
-    // component stutters need an explicit free mover.
+    // Beside a component's move they range freely (the step generator
+    // never holds them); changes while every component stutters need an
+    // explicit free mover.
     std::vector<VarId> uncovered;
     for (VarId v = 0; v < vars.size(); ++v) {
       if (relevant.contains(v) && !hidden_set.contains(v) && !covered.contains(v)) {
@@ -357,22 +385,28 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
     OPENTLA_OBS_PHASE("fig9:2.3");
     ObligationTimer timer_guard(ob);
     std::vector<CompositePart> parts;
-    if (!is_trivial_spec(goal.assumption)) {
-      parts.push_back({goal.assumption, /*mover=*/true,
-                       pinned_for(opts.env_outputs, goal.assumption.hidden)});
-    }
+    if (!is_trivial_spec(goal.assumption)) parts.push_back({goal.assumption, /*mover=*/true});
     std::vector<Fairness> low_fairness = goal.assumption.fairness;
-    for (std::size_t j = 0; j < components.size(); ++j) {
-      const AGSpec& c = components[j];
-      const std::vector<VarId> outputs =
-          j < opts.component_outputs.size() ? opts.component_outputs[j]
-                                            : std::vector<VarId>{};
+    std::vector<CanonicalSpec> hidden_owners;
+    if (goal.assumption.has_hidden()) hidden_owners.push_back(goal.assumption);
+    for (const AGSpec& c : components) {
       // The unhidden part's buffer variables move with its own actions.
-      std::vector<VarId> own_hidden = c.guarantee.hidden;
-      parts.push_back({c.guarantee.unhidden(), c.guarantee_is_mover,
-                       pinned_for(outputs, own_hidden)});
+      parts.push_back({c.guarantee.unhidden(), c.guarantee_is_mover});
       low_fairness.insert(low_fairness.end(), c.guarantee.fairness.begin(),
                           c.guarantee.fairness.end());
+      if (c.guarantee.has_hidden()) hidden_owners.push_back(c.guarantee);
+    }
+    // The parts' hidden variables change in separate steps: two components
+    // never update their internal state in one step. It keeps the low
+    // graph the one this verifier has always checked. When no Disjoint
+    // among the parts (G) already implies it, it is an assumption the
+    // conjunction does not make (ROADMAP lists it), and the detail says so.
+    bool assumes_hidden_interleaving = false;
+    if (hidden_owners.size() > 1) {
+      assumes_hidden_interleaving = !hidden_steps_kept_apart(vars, hidden_owners, parts);
+      std::vector<std::vector<VarId>> hidden_tuples;
+      for (const CanonicalSpec& h : hidden_owners) hidden_tuples.push_back(h.hidden);
+      parts.push_back({make_disjoint(hidden_tuples, "HiddenInterleaving"), /*mover=*/false});
     }
     // Pin whatever no part constrains: the goal guarantee's hidden
     // variables when they are fresh (the refinement witness supplies their
@@ -405,11 +439,18 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
                     "), refinement not evaluated]";
       } else {
         RefinementMapping mapping = mapping_by_name(vars, vars, opts.goal_witness);
-        RefinementResult r = check_refinement(low, low_fairness, goal.guarantee, mapping);
+        RefinementResult r =
+            check_refinement(low, low_fairness, goal.guarantee, mapping, opts.budget);
         ob.discharged = r.holds;
         ob.detail = "low states: " + std::to_string(r.states) +
                     ", edges: " + std::to_string(r.edges);
-        if (!r.holds) {
+        if (assumes_hidden_interleaving) ob.detail += " [assumes HiddenInterleaving]";
+        if (r.stop_reason != run::StopReason::kCompleted) {
+          // Stopped mid-check: neither discharged nor refuted.
+          ob.inconclusive = true;
+          ob.detail += std::string(" [partial: run budget stop (") +
+                       run::to_string(r.stop_reason) + "), refinement not completed]";
+        } else if (!r.holds) {
           ob.detail += "\nfailed: " + r.failed_part + "\n" +
                        short_trace(vars, r.counterexample_prefix);
           if (!r.counterexample_cycle.empty()) {
@@ -586,11 +627,11 @@ std::vector<Obligation> discharge_h2a_via_prop3(const VarTable& vars,
       }
       std::vector<Mover> movers;
       if (!is_trivial_spec(goal.assumption) && !goal.assumption.sub.empty()) {
-        movers.push_back(mover_from_spec(vars, goal.assumption, 0, normalize));
+        movers.push_back(mover_from_spec(goal.assumption, 0, normalize));
       }
       for (std::size_t j = 0; j < components.size(); ++j) {
         if (!components[j].guarantee_is_mover || components[j].guarantee.sub.empty()) continue;
-        movers.push_back(mover_from_spec(vars, closures[j], static_cast<int>(1 + j), normalize));
+        movers.push_back(mover_from_spec(closures[j], static_cast<int>(1 + j), normalize));
       }
       std::vector<Expr> init_conjuncts = {goal.assumption.init};
       for (const AGSpec& c : components) init_conjuncts.push_back(c.guarantee.init);

@@ -22,6 +22,25 @@
 // supplies the witness for the goal's hidden variables — exactly the
 // paper's "standard TLA reasoning using a simple refinement mapping".
 //
+// The products and H2b's complete system generate their steps with the
+// conjunction-aware generator of graph/conjunction. A step that changes
+// the visible subscript of a component whose own machine is among the
+// constraints is that component's action step, and the joint steps of each
+// set of components are built once, from their conjoined actions. H2a's
+// C(E)_{+v} is the exception: the freeze machine admits one step that
+// breaks E. Such a step is explored only beside another component's action
+// step, where E's subscript ranges freely (formula (3)'s 3-state H2a
+// counterexample flips i.ack and o.ack together); a step that breaks E
+// while no component moves is never explored. A Disjoint among the
+// components (the paper's G) is recognized syntactically, and the joint
+// steps it forbids are never generated. H2b keeps the components' hidden
+// variables changing in separate steps (a HiddenInterleaving Disjoint):
+// with G this already holds, without G it is an assumption the
+// conjunction does not make, and H2b's detail ends in
+// "[assumes HiddenInterleaving]" whenever no recognized Disjoint implies
+// it. A run budget that stops H2b's refinement check leaves H2b
+// inconclusive.
+//
 // The refinement Corollary ((E +> M') => (E +> M) for safety E) is the
 // n = 1 instance.
 
@@ -48,20 +67,12 @@ struct CompositionOptions {
   /// themselves.
   std::vector<std::pair<std::string, Expr>> goal_witness;
   /// Extra "free environment move" tuples for the product explorations:
-  /// for each tuple, candidate steps setting exactly those variables to
-  /// arbitrary values. Needed only when no component's action generates
-  /// the steps some assumption permits.
+  /// for each tuple, steps setting exactly those variables to arbitrary
+  /// values (no machine confines them, so beside a component's step they
+  /// range freely too). Needed only when no component's action generates
+  /// the steps some assumption permits. Interleaving needs no option: a
+  /// Disjoint among the components is recognized and used.
   std::vector<std::vector<VarId>> free_tuples;
-  /// OPTIONAL interleaving optimization. When nonempty, declares the
-  /// output tuple of each component (aligned with the components vector;
-  /// the goal assumption's outputs go in `env_outputs`). Candidate steps
-  /// for component j then vary only its own outputs and hidden variables.
-  /// SOUND ONLY when a Disjoint over exactly these tuples is among the
-  /// components (simultaneous cross-component moves are then filtered
-  /// anyway); with no such G conjunct, leave empty — the exploration stays
-  /// exhaustive.
-  std::vector<std::vector<VarId>> component_outputs;
-  std::vector<VarId> env_outputs;
   /// Cap on the states of each exploration: the nodes of the H1, H2a and
   /// step 2.2 products, the pairs of each target or orthogonality search,
   /// H2b's low graph and Proposition 3's R graph. Reaching it leaves the
@@ -89,7 +100,12 @@ struct CompositionOptions {
 ///     /\_j components[j]  =>  goal
 /// over the single universe `vars` (which contains every variable,
 /// including all hidden ones). Returns the full obligation report; the
-/// conclusion holds iff report.all_discharged().
+/// conclusion holds iff report.all_discharged(). An exploration may hold
+/// at most ConjunctionSuccessors::kMaxHeld (20) movers, the components and
+/// the goal assumption whose machines confine them to their own steps;
+/// past that, building it throws std::runtime_error. Without a
+/// Disjoint among the components, each set of two or more held movers
+/// gets its own generator (2^n - n - 1 of them for n held movers).
 ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& components,
                                const AGSpec& goal, const CompositionOptions& opts = {});
 

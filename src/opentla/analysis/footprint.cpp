@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <set>
+#include <stdexcept>
+
+#include "opentla/expr/eval.hpp"
+#include "opentla/state/state_space.hpp"
 
 namespace opentla::analysis {
 
@@ -69,6 +74,54 @@ Footprint disjunct_footprint(const ActionDisjunct& d,
   fp.writes = sorted_vec(writes);
   fp.guard_reads = sorted_vec(guard_reads);
   return fp;
+}
+
+std::vector<VarId> must_change(const ActionDisjunct& d, const VarTable& vars) {
+  constexpr std::size_t kMaxValuations = 4096;
+  const StateSpace space(vars);
+  std::set<VarId> out;
+  for (const auto& [v, rhs] : d.assignments) {
+    if (is_identity_frame(v, rhs)) continue;
+    std::set<VarId> read = free_vars(rhs).unprimed;
+    read.insert(v);
+    std::size_t valuations = 1;
+    for (VarId r : read) {
+      valuations *= vars.domain(r).size();
+      if (valuations > kMaxValuations) break;
+    }
+    if (valuations > kMaxValuations) continue;
+    std::vector<const Expr*> guards;
+    for (const Expr& g : d.guards) {
+      const std::set<VarId> gv = free_vars(g).unprimed;
+      if (std::includes(read.begin(), read.end(), gv.begin(), gv.end())) guards.push_back(&g);
+    }
+    bool always = true;
+    space.for_each_completion(space.first_state(), sorted_vec(read), [&](const State& w) {
+      EvalContext ctx;
+      ctx.vars = &vars;
+      ctx.current = &w;
+      try {
+        for (const Expr* g : guards) {
+          if (!eval_bool(*g, ctx)) return false;  // no step from this valuation
+        }
+        always = eval(rhs, ctx) != w[v];
+      } catch (const std::exception&) {
+        always = false;
+      }
+      return !always;
+    });
+    if (always) out.insert(v);
+  }
+  return sorted_vec(out);
+}
+
+std::vector<std::vector<VarId>> must_change_by_disjunct(const Expr& action,
+                                                        const VarTable& vars) {
+  std::optional<std::vector<ActionDisjunct>> disjuncts = decompose_distributed(action);
+  if (!disjuncts) disjuncts = decompose_action(action);
+  std::vector<std::vector<VarId>> out;
+  for (const ActionDisjunct& d : *disjuncts) out.push_back(must_change(d, vars));
+  return out;
 }
 
 Footprint action_footprint(const Expr& action, const std::vector<VarId>& frame_scope) {

@@ -54,6 +54,23 @@ struct Footprint {
 Footprint disjunct_footprint(const ActionDisjunct& d,
                              const std::vector<VarId>& frame_scope);
 
+/// Variables `d` changes in every step it allows: v counts when `d`
+/// assigns v' = e and e differs from v under every valuation of the
+/// variables e reads that satisfies the guards reading nothing else (the
+/// handshake flip v' = 1 - v; q' = Tail(q) under Len(q) > 0). Decided by
+/// evaluation over the domains, at most 4096 valuations per assignment; an
+/// assignment past the cap, or one whose evaluation throws, does not
+/// count. Ascending. This is the must-write half of a footprint: the
+/// conjunction generator (graph/conjunction) uses it to prove that a
+/// mover's every step changes a Disjoint tuple.
+std::vector<VarId> must_change(const ActionDisjunct& d, const VarTable& vars);
+
+/// must_change of each disjunct successor generation runs for `action`
+/// (decompose_distributed, or decompose_action past its cap). Every step
+/// of `action` changes some variable of a set when each entry meets it.
+std::vector<std::vector<VarId>> must_change_by_disjunct(const Expr& action,
+                                                        const VarTable& vars);
+
 /// Union of disjunct footprints over every disjunct of `action`.
 Footprint action_footprint(const Expr& action, const std::vector<VarId>& frame_scope);
 

@@ -3,27 +3,25 @@
 #include <algorithm>
 #include <initializer_list>
 #include <optional>
-#include <unordered_set>
 
+#include "opentla/expr/analysis.hpp"
 #include "opentla/obs/obs.hpp"
+#include "opentla/tla/disjoint.hpp"
 
 namespace opentla {
 
-Mover mover_from_spec(const VarTable& vars, const CanonicalSpec& spec, int constraint_index,
+Mover mover_from_spec(const CanonicalSpec& spec, int constraint_index,
                       const std::vector<VarId>& normalized) {
   Mover m;
-  // Normalized variables other than this component's own hidden ones are
-  // tracked by other machines; never enumerate them.
-  std::vector<VarId> pinned;
-  for (VarId v : normalized) {
-    if (std::find(spec.hidden.begin(), spec.hidden.end(), v) == spec.hidden.end()) {
-      pinned.push_back(v);
+  m.step.next = spec.next;
+  for (VarId v : spec.sub) {
+    if (std::find(normalized.begin(), normalized.end(), v) == normalized.end()) {
+      m.step.sub.push_back(v);
     }
   }
-  m.generator = std::make_shared<ActionSuccessors>(vars, spec.next, std::move(pinned));
-  m.hidden = spec.hidden;
-  m.machine_index = spec.has_hidden() ? constraint_index : -1;
-  m.label = spec.name;
+  m.step.hidden = spec.hidden;
+  m.step.label = spec.name;
+  m.machine_index = constraint_index;
   return m;
 }
 
@@ -97,7 +95,34 @@ ConstraintExplorer::ConstraintExplorer(
       movers_(std::move(movers)),
       normalize_(std::move(normalize)),
       opts_(opts),
+      steps_(step_generator()),
       graph_(explore(init_enum)) {}
+
+ConjunctionSuccessors ConstraintExplorer::step_generator() const {
+  std::vector<StepMover> steps;
+  for (const Mover& m : movers_) {
+    StepMover step = m.step;
+    step.held = false;
+    if (m.machine_index < 0) {
+      step.hidden.clear();
+    } else {
+      // Other machines' hidden variables are normalized like any other;
+      // this mover's come from its own machine's configuration.
+      const auto* own = dynamic_cast<const PrefixMachine*>(
+          &constraints_.factor(static_cast<std::size_t>(m.machine_index)));
+      step.held = own != nullptr && structurally_equal(own->spec().next, step.next);
+    }
+    steps.push_back(std::move(step));
+  }
+  std::vector<ConjunctionSuccessors::Disjoint> disjoints;
+  for (std::size_t i = 0; i < constraints_.num_factors(); ++i) {
+    const auto* pm = dynamic_cast<const PrefixMachine*>(&constraints_.factor(i));
+    if (pm == nullptr) continue;
+    ConjunctionSuccessors::Disjoint tuples = disjoint_tuples(pm->spec());
+    if (!tuples.empty()) disjoints.push_back(std::move(tuples));
+  }
+  return ConjunctionSuccessors(*vars_, std::move(steps), normalize_, disjoints);
+}
 
 StateGraph ConstraintExplorer::explore(const Expr& init_enum) const {
   OPENTLA_OBS_SPAN("ConstraintExplorer.explore");
@@ -120,42 +145,28 @@ StateGraph ConstraintExplorer::explore(const Expr& init_enum) const {
     if (constraints_.alive(configs)) inits.push_back(node(s, std::move(configs)));
   }
 
-  // Candidate successors: the stutter step, which can only grow
-  // configurations (internal component moves), then the movers' actions in
-  // order, with hidden sources drawn from the owning machine's
-  // configuration. Each distinct candidate is stepped and emitted on first
-  // sight, so the emission order depends only on the node, as the parallel
-  // engine requires.
+  // Successors: the stutter step, which can only grow configurations
+  // (internal component moves), then the conjunction generator's steps,
+  // with hidden sources drawn from the owning machine's configuration.
+  // Each is stepped and emitted as it comes, so the emission order depends
+  // only on the node, as the parallel engine requires; a repeat (two
+  // sources reaching one visible state) only repeats an edge, which the
+  // graph folds.
   auto succ = [&](const State& u, const std::function<void(const State&)>& emit) {
     const State s(std::vector<Value>(u.values().begin(), u.values().begin() + width));
     const Value& configs = u[width];
-    std::unordered_set<State, StateHash> seen;
-    auto offer = [&](State candidate) {
-      const auto [it, fresh] = seen.insert(std::move(candidate));
-      if (!fresh) return;
-      const State& t = *it;
+    auto offer = [&](const State& t) {
       Value next = constraints_.step(configs, s, t);
       if (!constraints_.alive(next)) return;
       if (t == s && next == configs) return;  // no-op stutter
       emit(node(t, std::move(next)));
     };
     offer(s);
-    for (const Mover& m : movers_) {
-      if (m.machine_index < 0) {
-        m.generator->for_each_successor(s, [&](const State& t) { offer(normalized(t)); });
-        continue;
-      }
-      const std::size_t i = static_cast<std::size_t>(m.machine_index);
-      const Value sources =
-          constraints_.factor(i).mover_configs(constraints_.factor_config(configs, i));
-      for (const Value& h : sources.as_tuple()) {
-        State source = s;
-        const Value::Tuple& hv = h.as_tuple();
-        for (std::size_t k = 0; k < m.hidden.size(); ++k) source[m.hidden[k]] = hv[k];
-        m.generator->for_each_successor(source,
-                                        [&](const State& t) { offer(normalized(t)); });
-      }
-    }
+    const auto sources = [&](std::size_t k) {
+      const std::size_t i = static_cast<std::size_t>(movers_[k].machine_index);
+      return constraints_.factor(i).mover_configs(constraints_.factor_config(configs, i));
+    };
+    steps_.for_each_successor(s, sources, [&](const State& t) { offer(normalized(t)); });
   };
 
   ExploreOptions opts = opts_;

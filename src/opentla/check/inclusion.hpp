@@ -15,11 +15,19 @@
 //                    ProductMachine configuration of the left-hand-side
 //                    machines appended as one extra value
 //
-// Candidate steps come from the union of the components' next-state
-// actions ("movers") plus stuttering; every step allowed by the
-// conjunction changes some component's subscript variable and is therefore
-// an action step of that component, so the union is complete as long as
-// every visible variable belongs to some mover's subscript.
+// Steps come from the components' next-state actions ("movers") through
+// the conjunction-aware generator of graph/conjunction, plus stuttering.
+// A step that changes the visible subscript of a mover whose own prefix
+// machine is among the constraints is an action step of that mover, and
+// the generator builds each set of such movers' joint steps once, from
+// their conjoined actions. That is not true of every step the left-hand
+// side allows: a freeze-wrapped machine (H2a's C(E)_{+v}) admits one step
+// that breaks the wrapped property. Such a step is explored only beside
+// another mover's action step, where the wrapped part's subscript ranges
+// freely (formula (3)'s H2a counterexample flips i.ack and o.ack in one
+// step); a step that breaks E while no other mover moves is not explored.
+// The union is complete under that rule as long as every visible variable
+// belongs to some mover's subscript.
 //
 // R holds iff its machine stays alive along every reachable product path.
 // find_dead_pair decides that by exploring the pairs <product node, R's
@@ -35,32 +43,35 @@
 
 #include "opentla/automata/prefix_machine.hpp"
 #include "opentla/automata/product.hpp"
+#include "opentla/graph/conjunction.hpp"
 #include "opentla/graph/state_graph.hpp"
-#include "opentla/graph/successor.hpp"
 #include "opentla/run/budget.hpp"
 #include "opentla/state/state.hpp"
 #include "opentla/tla/spec.hpp"
 
 namespace opentla {
 
-/// A candidate-step generator for the product exploration.
+/// A component whose next-state action generates the product's steps.
 struct Mover {
-  /// Built from a component's next-state action over the full universe.
-  std::shared_ptr<ActionSuccessors> generator;
-  /// Hidden variables of the owning component, substituted from the
-  /// configurations of constraint machine `machine_index` before
-  /// generating (-1: generate from the visible state as-is).
-  std::vector<VarId> hidden;
+  /// The action, its subscript without the normalized variables, and its
+  /// hidden variables, substituted from the configurations of constraint
+  /// machine `machine_index` before generating. `held` is not read: the
+  /// explorer decides it from the machine.
+  StepMover step;
+  /// Position of the component's machine among the constraints (-1: none;
+  /// `step.hidden` is then ignored). The mover is held (graph/conjunction)
+  /// when that machine is a plain PrefixMachine of the same action; a
+  /// freeze-wrapped machine, or none, leaves the mover's subscript free
+  /// beside other movers' steps.
   int machine_index = -1;
-  std::string label;
 };
 
 /// Builds the mover for a canonical spec; `constraint_index` is the
-/// position of the spec's machine in the explorer's constraint list (or -1
-/// if the spec has no hidden variables). `normalized` lists all variables
-/// the exploration normalizes away (so the generator does not enumerate
-/// them).
-Mover mover_from_spec(const VarTable& vars, const CanonicalSpec& spec, int constraint_index,
+/// position of the spec's machine in the explorer's constraint list (or
+/// -1 if it has none). `normalized` lists all variables the exploration
+/// normalizes away; they leave the mover's subscript and are never
+/// enumerated.
+Mover mover_from_spec(const CanonicalSpec& spec, int constraint_index,
                       const std::vector<VarId>& normalized);
 
 /// A dead-pair search's answer (see find_dead_pair).
@@ -88,6 +99,9 @@ DeadPairSearch find_dead_pair(const StateGraph& graph, const SafetyMachine& mach
 /// then checked against the reified product graph.
 class ConstraintExplorer {
  public:
+  /// A Disjoint among the constraints (a PrefixMachine whose spec
+  /// tla/disjoint recognizes) filters every step, so the step generator
+  /// drops the joint steps it forbids when it is built.
   /// `init_enum` enumerates candidate initial states of the universe
   /// (typically the conjunction of all components' Init predicates, with
   /// hidden variables included; their values are normalized away and
@@ -105,6 +119,9 @@ class ConstraintExplorer {
   ConstraintExplorer(ConstraintExplorer&&) = delete;
 
   std::size_t num_nodes() const { return graph_.num_states(); }
+  /// The product: each node is a visible state with the left-hand side's
+  /// ProductMachine configuration appended as one extra value.
+  const StateGraph& graph() const { return graph_; }
   /// Why product exploration ended (kCompleted = full product built).
   run::StopReason stop_reason() const { return graph_.stop_reason(); }
 
@@ -126,6 +143,7 @@ class ConstraintExplorer {
   Verdict check_target(const SafetyMachine& target) const;
 
  private:
+  ConjunctionSuccessors step_generator() const;
   StateGraph explore(const Expr& init_enum) const;
   /// Product node `id` without its configuration slot.
   State visible(StateId id) const;
@@ -137,6 +155,7 @@ class ConstraintExplorer {
   std::vector<Mover> movers_;
   std::vector<VarId> normalize_;
   ExploreOptions opts_;
+  ConjunctionSuccessors steps_;
   StateGraph graph_;
 };
 

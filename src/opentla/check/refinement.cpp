@@ -55,13 +55,22 @@ std::vector<State> to_states(const StateGraph& g, const std::vector<StateId>& id
 
 RefinementResult check_refinement(const StateGraph& low_graph,
                                   const std::vector<Fairness>& low_fairness,
-                                  const CanonicalSpec& high, const RefinementMapping& mapping) {
+                                  const CanonicalSpec& high, const RefinementMapping& mapping,
+                                  run::RunBudget* budget) {
   OPENTLA_OBS_SPAN("check_refinement");
   OPENTLA_OBS_PHASE("check.refinement");
   RefinementResult result;
   result.states = low_graph.num_states();
   result.edges = low_graph.num_edges();
   const VarTable& high_vars = mapping.high();
+  // True once the budget says stop; the result is then inconclusive.
+  auto stopped = [&] {
+    if (budget == nullptr || !budget->should_stop()) return false;
+    result.holds = false;
+    result.stop_reason = budget->reason();
+    return true;
+  };
+  if (stopped()) return result;
 
   // Mapped high states, computed once per low state.
   std::vector<State> mapped(low_graph.num_states());
@@ -81,6 +90,7 @@ RefinementResult check_refinement(const StateGraph& low_graph,
 
   // (step) every low edge maps to [HighNext]_v.
   for (StateId u = 0; u < low_graph.num_states(); ++u) {
+    if (stopped()) return result;
     for (StateId v : low_graph.successors(u)) {
       OPENTLA_OBS_COUNT(RefinementEdgesChecked);
       if (high.step_ok(high_vars, mapped[u], mapped[v])) continue;
@@ -96,6 +106,7 @@ RefinementResult check_refinement(const StateGraph& low_graph,
   // (live) for each high fairness condition, search for a low-fair lasso
   // violating it.
   for (const Fairness& hf : high.fairness) {
+    if (stopped()) return result;
     FairnessCompiler compiler(low_graph);
     FairCycleQuery query;
     compiler.add_constraints(low_fairness, query);

@@ -26,6 +26,7 @@
 #include "opentla/check/liveness.hpp"
 #include "opentla/expr/expr.hpp"
 #include "opentla/graph/state_graph.hpp"
+#include "opentla/run/budget.hpp"
 #include "opentla/tla/spec.hpp"
 
 namespace opentla {
@@ -60,15 +61,21 @@ struct RefinementResult {
   std::vector<State> counterexample_cycle;   // low-level states (liveness)
   std::size_t states = 0;
   std::size_t edges = 0;
+  /// kCompleted unless the run budget stopped the check first. Then
+  /// `holds` is false and there is no counterexample: the verdict is
+  /// inconclusive, neither a proof nor a refutation.
+  run::StopReason stop_reason = run::StopReason::kCompleted;
 
   explicit operator bool() const { return holds; }
 };
 
 /// Checks that `low_graph` (whose behaviors are additionally constrained by
 /// `low_fairness`) refines `high` under `mapping`. Verifies init, step, and
-/// every high fairness condition.
+/// every high fairness condition. `budget` (optional, not owned) is polled
+/// once per low state in the step loop and before each fairness condition.
 RefinementResult check_refinement(const StateGraph& low_graph,
                                   const std::vector<Fairness>& low_fairness,
-                                  const CanonicalSpec& high, const RefinementMapping& mapping);
+                                  const CanonicalSpec& high, const RefinementMapping& mapping,
+                                  run::RunBudget* budget = nullptr);
 
 }  // namespace opentla

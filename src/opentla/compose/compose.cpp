@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "opentla/expr/analysis.hpp"
-#include "opentla/graph/successor.hpp"
+#include "opentla/graph/conjunction.hpp"
+#include "opentla/tla/disjoint.hpp"
 
 namespace opentla {
 
@@ -80,52 +80,46 @@ StateGraph build_composite_graph(const VarTable& vars, const std::vector<Composi
   }
 
   std::vector<Expr> inits;
-  std::vector<ActionSuccessors> movers;
+  std::vector<StepMover> movers;
+  std::vector<ConjunctionSuccessors::Disjoint> disjoints;
   for (const CompositePart& p : parts) {
     inits.push_back(p.spec.init);
+    ConjunctionSuccessors::Disjoint tuples = disjoint_tuples(p.spec);
+    if (!tuples.empty()) disjoints.push_back(std::move(tuples));
     if (!p.mover) continue;
-    std::vector<VarId> part_pinned = pinned;
-    part_pinned.insert(part_pinned.end(), p.extra_pinned.begin(), p.extra_pinned.end());
-    movers.emplace_back(vars, p.spec.next, std::move(part_pinned));
     // Per-action coverage attributes each mover's emissions to its spec.
-    movers.back().set_label(p.spec.name.empty() ? "part_" + std::to_string(movers.size())
-                                                : p.spec.name);
+    const std::string label =
+        p.spec.name.empty() ? "part_" + std::to_string(movers.size() + 1) : p.spec.name;
+    movers.push_back({p.spec.next, p.spec.sub, {}, /*held=*/true, label});
   }
   for (const std::vector<VarId>& tuple : free_tuples) {
     // Everything outside the tuple is pinned by assignment; the tuple's
-    // variables range over their domains.
+    // variables range over their domains. No part confines the tuple to
+    // these steps, so it is not held beside the parts' steps either.
     std::vector<VarId> complement;
     for (VarId v = 0; v < vars.size(); ++v) {
       if (std::find(tuple.begin(), tuple.end(), v) == tuple.end()) complement.push_back(v);
     }
-    movers.emplace_back(vars, ex::unchanged(complement));
+    movers.push_back({ex::unchanged(complement), tuple, {}, /*held=*/false, ""});
   }
 
   const std::vector<State> init_states =
       ActionSuccessors::states_satisfying(vars, ex::land(std::move(inits)), pinned);
 
   // Determinism contract (relied on by the parallel engine's canonical
-  // renumbering): for a fixed state `s`, this lambda emits successors in a
-  // fixed order — movers in construction order, each walking its residual
-  // schedule's enumeration order (see graph/successor.cpp). Pruning only
-  // skips completions whose residual conjuncts already failed; it never
-  // reorders survivors, so the emitted sequence is the naive odometer order
-  // restricted to actual successors. The unordered `seen` set is
-  // membership-only dedup; it never drives emission order. The lambda is
-  // safe to call concurrently on distinct states: all captures are
-  // read-only and `seen` is per-call.
-  auto succ = [&vars, &parts, movers = std::move(movers)](
+  // renumbering): for a fixed state `s`, this lambda emits successors in
+  // the generator's fixed order (graph/conjunction), filtered by every
+  // part. The lambda is safe to call concurrently on distinct states: all
+  // captures are read-only.
+  auto succ = [&vars, &parts, steps = ConjunctionSuccessors(vars, std::move(movers), pinned,
+                                                             disjoints)](
                   const State& s, const std::function<void(const State&)>& emit) {
-    std::unordered_set<State, StateHash> seen;
-    for (const ActionSuccessors& mover : movers) {
-      mover.for_each_successor(s, [&](const State& t) {
-        if (!seen.insert(t).second) return;
-        for (const CompositePart& p : parts) {
-          if (!p.spec.step_ok(vars, s, t)) return;
-        }
-        emit(t);
-      });
-    }
+    steps.for_each_successor(s, [&](const State& t) {
+      for (const CompositePart& p : parts) {
+        if (!p.spec.step_ok(vars, s, t)) return;
+      }
+      emit(t);
+    });
   };
 
   return StateGraph(vars, init_states, succ, opts);
@@ -141,11 +135,15 @@ std::vector<analysis::ActionUnit> composite_action_units(
     ++mover_ordinal;
     const std::string label =
         p.spec.name.empty() ? "part_" + std::to_string(mover_ordinal) : p.spec.name;
-    // The mover's generator enumerates every unpinned universe variable its
-    // action leaves unconstrained; that is the unit's frame scope.
+    // A step of this mover alone enumerates every universe variable its
+    // action leaves unconstrained, except the pinned ones and the other
+    // movers' subscripts; that is the unit's frame scope.
     std::vector<char> is_pinned(vars.size(), 0);
     for (VarId v : pinned) is_pinned[v] = 1;
-    for (VarId v : p.extra_pinned) is_pinned[v] = 1;
+    for (const CompositePart& other : parts) {
+      if (&other == &p || !other.mover) continue;
+      for (VarId v : other.spec.sub) is_pinned[v] = 1;
+    }
     std::vector<VarId> scope;
     for (VarId v = 0; v < vars.size(); ++v) {
       if (!is_pinned[v]) scope.push_back(v);

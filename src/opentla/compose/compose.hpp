@@ -10,12 +10,14 @@
 //     (expanded to DNF so it stays executable), v = the union of the
 //     subscripts, L = the union of the fairness conditions.
 //
-//   - `build_composite_graph` explores the conjunction directly: candidate
-//     steps are the union of the parts' next-state actions (every step
-//     allowed by the conjunction that changes a subscript variable of some
-//     part is an action step of that part), filtered by every part's
-//     [N_j]_{v_j}. Hidden variables are explored explicitly (hiding on the
-//     left of an implication is free).
+//   - `build_composite_graph` explores the conjunction directly. Every
+//     step allowed by the conjunction that changes the subscript of some
+//     mover part is an action step of that part, so the steps come from
+//     the conjunction-aware generator of graph/conjunction (each set of
+//     movers' joint steps built once from their conjoined actions, a
+//     Disjoint part dropping the sets it forbids), filtered by every
+//     part's [N_j]_{v_j}. Hidden variables are explored explicitly (hiding
+//     on the left of an implication is free).
 
 #pragma once
 
@@ -35,33 +37,29 @@ CanonicalSpec conjunction_as_spec(const std::vector<CanonicalSpec>& parts, std::
 /// One conjunct of an explicit composition.
 struct CompositePart {
   CanonicalSpec spec;
-  /// Whether the part's next-state action generates candidate steps. Parts
-  /// whose actions have no executable assignments (e.g. Disjoint, or a
-  /// variable-pinning frame) should be filter-only; candidate steps they
-  /// would allow must then come from other movers or `free_tuples`.
+  /// Whether the part's next-state action generates steps. Parts whose
+  /// actions have no executable assignments (e.g. Disjoint, or a
+  /// variable-pinning frame) should be filter-only; steps they would allow
+  /// must then come from other movers or `free_tuples`. A filter-only part
+  /// that tla/disjoint recognizes as a Disjoint lets the generator drop the
+  /// joint steps it forbids.
   bool mover = true;
-  /// Extra variables this part's generator keeps at their current value
-  /// when its action leaves them unconstrained (on top of the graph-wide
-  /// `pinned` list). Used by the interleaving optimization: under a
-  /// Disjoint conjunct, a part's candidates need only vary its own
-  /// outputs and state.
-  std::vector<VarId> extra_pinned;
 
-  CompositePart(CanonicalSpec s, bool is_mover = true, std::vector<VarId> pinned = {})
-      : spec(std::move(s)), mover(is_mover), extra_pinned(std::move(pinned)) {}
+  CompositePart(CanonicalSpec s, bool is_mover = true) : spec(std::move(s)), mover(is_mover) {}
 };
 
 /// Explores the complete system /\_j parts[j] with hidden variables
-/// explicit. `free_tuples` adds, for each tuple, candidate steps that set
-/// the tuple's variables to arbitrary domain values and leave every other
+/// explicit. `free_tuples` adds, for each tuple, steps that set the
+/// tuple's variables to arbitrary domain values and leave every other
 /// variable unchanged — the "unconstrained environment" moves that a
-/// composition without an environment conjunct permits (within Disjoint).
+/// composition without an environment conjunct permits (within Disjoint);
+/// beside a part's step the tuple ranges freely too.
 /// Throws if some universe variable is in no part's subscript (such a
 /// variable could change arbitrarily at every step; cover it with a part
 /// or pin it).
-/// `pinned` variables are excluded from successor enumeration when a
-/// part's action leaves them unconstrained (use for variables a filter-only
-/// part pins anyway, e.g. a make_pin frame — the enumeration would generate
+/// `pinned` variables are excluded from successor enumeration when no
+/// part's action constrains them (use for variables a filter-only part pins
+/// anyway, e.g. a make_pin frame — the enumeration would generate
 /// candidates the pin rejects).
 StateGraph build_composite_graph(const VarTable& vars, const std::vector<CompositePart>& parts,
                                  const std::vector<std::vector<VarId>>& free_tuples = {},
@@ -79,8 +77,9 @@ StateGraph build_composite_graph(const VarTable& vars, const std::vector<Composi
 /// labels its movers — the spec name, or "part_N" for the N-th unnamed
 /// mover — with "#i" appended when a mover has several disjuncts), plus
 /// one "free_K" unit per free tuple. Each unit's footprint uses the frame
-/// scope its candidate generator actually enumerates: every universe
-/// variable except the ones pinned for that mover. Feeding these units to
+/// scope a step of that mover alone enumerates: every universe variable
+/// except the pinned ones and the other movers' subscripts, which the
+/// step holds unchanged. Feeding these units to
 /// analysis::compute_independence yields the composed system's
 /// independence matrix (OTL012, `tlacheck analyze`, the POR precompute).
 std::vector<analysis::ActionUnit> composite_action_units(

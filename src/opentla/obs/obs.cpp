@@ -467,6 +467,21 @@ std::string render_human(const Snapshot& snap) {
       out << line;
     }
   }
+  // Waste: candidates the successor generators emitted per edge the
+  // explorations kept (including stuttering self-loops). 1 or below means
+  // nothing was generated only to be filtered away.
+  const HistogramSnapshot& fanout = snap.hists[static_cast<std::size_t>(Histogram::SuccessorFanout)];
+  if (fanout.sum > 0) {
+    const std::uint64_t candidates =
+        snap.counters[static_cast<std::size_t>(Counter::SuccessorsEnumerated)];
+    char line[160];
+    std::snprintf(line, sizeof line,
+                  "  waste_ratio %.3f (successors_enumerated %llu / successor_fanout sum %llu)\n",
+                  static_cast<double>(candidates) / static_cast<double>(fanout.sum),
+                  static_cast<unsigned long long>(candidates),
+                  static_cast<unsigned long long>(fanout.sum));
+    out << line;
+  }
   // Memory: tracked domains with any activity, then the headline totals.
   bool mem_header = false;
   for (std::size_t d = 0; d < kNumMemDomains; ++d) {

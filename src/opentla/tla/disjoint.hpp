@@ -26,4 +26,12 @@ CanonicalSpec make_disjoint(const std::vector<std::vector<VarId>>& tuples,
 bool step_disjoint(const std::vector<std::vector<VarId>>& tuples, const State& s,
                    const State& t);
 
+/// The tuples of `spec` when it is syntactically a Disjoint: every conjunct
+/// of its NEXT reads <<vi'>> = <<vi>> \/ <<vj'>> = <<vj>> (either side may
+/// be written first), every pair of the tuples so named has its conjunct,
+/// and the subscript covers every tuple variable, so that [NEXT]_sub admits
+/// exactly the steps that change at most one tuple. Empty otherwise (and
+/// for a Disjoint of fewer than two tuples, which constrains nothing).
+std::vector<std::vector<VarId>> disjoint_tuples(const CanonicalSpec& spec);
+
 }  // namespace opentla

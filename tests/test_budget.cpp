@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "opentla/check/invariant.hpp"
+#include "opentla/check/refinement.hpp"
 #include "opentla/graph/state_graph.hpp"
 #include "opentla/graph/successor.hpp"
 #include "opentla/obs/flight_recorder.hpp"
@@ -182,6 +183,28 @@ TEST(BudgetExplore, InvariantResultCarriesStopReason) {
   EXPECT_TRUE(r.holds);
   EXPECT_EQ(r.stop_reason, run::StopReason::kStateBudget);
   EXPECT_EQ(r.states_checked, 10u);
+}
+
+TEST(BudgetExplore, StoppedBudgetLeavesRefinementInconclusive) {
+  // The channel refines itself under the identity mapping. With the budget
+  // already stopped, check_refinement says neither "holds" nor "fails".
+  ChannelSpace space(4);
+  const StateGraph g(space.vars, {space.init}, space.succ(), ExploreOptions{});
+  CanonicalSpec high;
+  high.name = "Channel";
+  high.init = channel_init(space.ch);
+  high.next = space.any.action();
+  high.sub = space.ch.all();
+  const RefinementMapping mapping = mapping_by_name(space.vars, space.vars, {});
+  ASSERT_TRUE(check_refinement(g, {}, high, mapping).holds);
+
+  run::RunBudget budget;
+  budget.request_stop(run::StopReason::kInterrupted);
+  const RefinementResult r = check_refinement(g, {}, high, mapping, &budget);
+  EXPECT_FALSE(r.holds);
+  EXPECT_EQ(r.stop_reason, run::StopReason::kInterrupted);
+  EXPECT_TRUE(r.failed_part.empty());
+  EXPECT_TRUE(r.counterexample_prefix.empty());
 }
 
 // --- The flight recorder. ---

@@ -26,6 +26,11 @@
 // A ninth axis pins the product searches behind H1/H2a and Figure 9's step
 // 2.1, which stop at the first dead pair, against the semantic layer.
 //
+// A tenth axis pins the conjunction-aware step generator behind
+// build_composite_graph and ConstraintExplorer against generate-and-test's
+// semantics on random two- and three-part systems, with and without a
+// Disjoint, with a freeze-wrapped part and a hidden variable.
+//
 // Every assertion carries the failing seed and case index so a failure is
 // reproducible in isolation.
 
@@ -38,7 +43,9 @@
 #include <vector>
 
 #include "opentla/analysis/independence.hpp"
+#include "opentla/automata/freeze.hpp"
 #include "opentla/automata/prefix_machine.hpp"
+#include "opentla/automata/product.hpp"
 #include "opentla/check/inclusion.hpp"
 #include "opentla/check/invariant.hpp"
 #include "opentla/check/orthogonality.hpp"
@@ -50,6 +57,7 @@
 #include "opentla/state/arena.hpp"
 #include "opentla/state/sharded_store.hpp"
 #include "opentla/state/state.hpp"
+#include "opentla/tla/disjoint.hpp"
 #include "opentla/tla/spec.hpp"
 
 namespace opentla {
@@ -218,8 +226,8 @@ TEST_P(ProductSearchHarness, TargetAndOrthogonalityVerdictsMatchTheSemantics) {
     std::vector<std::shared_ptr<const SafetyMachine>> constraints = {
         std::make_shared<PrefixMachine>(vars, sx), std::make_shared<PrefixMachine>(vars, sy),
         std::make_shared<PrefixMachine>(vars, r)};
-    std::vector<Mover> movers = {mover_from_spec(vars, sx, 0, {}),
-                                 mover_from_spec(vars, sy, 1, {})};
+    std::vector<Mover> movers = {mover_from_spec(sx, 0, {}),
+                                 mover_from_spec(sy, 1, {})};
     ConstraintExplorer explorer(vars, constraints, movers, ex::land(sx.init, sy.init), {});
     const ConstraintExplorer::Verdict v = explorer.check_target(PrefixMachine(vars, t));
     expect_decides(
@@ -674,6 +682,308 @@ TEST(NestedDisjunctionCap, ExpansionPastTheCapKeepsTheSourceSplitAndAgrees) {
   });
   EXPECT_GT(z_moves, 0u);  // non-vacuous: some successor changes z
 }
+
+/// Tenth differential axis: the conjunction-aware step generator
+/// (graph/conjunction) against generate-and-test's semantics. Random
+/// systems of two or three parts over five visible variables: each part
+/// owns one or two of them and acts by flips, constants, copies and
+/// unmentioned variables, sometimes on another part's or a shared variable.
+/// Sometimes a Disjoint over the parts' outputs is among the filters.
+///
+///   - build_composite_graph (every state initial): from every state, the
+///     successors must equal every universe state some part's action or a
+///     free tuple allows, filtered by every part.
+///   - ConstraintExplorer over the parts' machines, where part 0 may own a
+///     hidden variable and one part's machine may be freeze-wrapped: every
+///     product node's successors must equal the stutter plus every universe
+///     state some mover's action allows from one of its hidden sources,
+///     stepped through the machines.
+constexpr unsigned kSystemCasesPerSeed = 20;
+
+class SystemGen {
+ public:
+  explicit SystemGen(unsigned seed) : rng_(seed) {
+    visible_ = {vars_.declare("a", range_domain(0, 2)), vars_.declare("b", range_domain(0, 1)),
+                vars_.declare("c", range_domain(0, 2)), vars_.declare("d", range_domain(0, 1)),
+                vars_.declare("e", range_domain(0, 1))};
+    h_ = vars_.declare("h", range_domain(0, 1));
+  }
+
+  const VarTable& vars() const { return vars_; }
+  const std::vector<VarId>& visible() const { return visible_; }
+  VarId h() const { return h_; }
+  int pick(int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng_); }
+  bool coin() { return pick(2) == 1; }
+
+  struct System {
+    std::vector<CanonicalSpec> parts;
+    std::vector<std::vector<VarId>> outputs;
+    std::vector<VarId> shared;  // visible variables no part owns
+  };
+
+  /// Part 0 owns the hidden variable h when `hidden` is set.
+  System system(bool hidden) {
+    System sys;
+    const int n = 2 + pick(2);
+    std::vector<VarId> pool = visible_;
+    std::shuffle(pool.begin(), pool.end(), rng_);
+    std::size_t at = 0;
+    for (int k = 0; k < n; ++k) {
+      const std::size_t take = (k < 2 && coin()) ? 2 : 1;
+      sys.outputs.emplace_back(pool.begin() + at, pool.begin() + at + take);
+      at += take;
+    }
+    sys.shared.assign(pool.begin() + at, pool.end());
+    for (int k = 0; k < n; ++k) sys.parts.push_back(part(sys, k, hidden && k == 0));
+    return sys;
+  }
+
+ private:
+  Expr val(VarId v) { return ex::integer(pick(static_cast<int>(vars_.domain(v).size()))); }
+
+  Expr flip(VarId v) {
+    const auto size = static_cast<std::int64_t>(vars_.domain(v).size());
+    return ex::mod(ex::add(ex::var(v), ex::integer(1)), ex::integer(size));
+  }
+
+  VarId any_visible() { return visible_[static_cast<std::size_t>(pick(5))]; }
+
+  /// Writes v (flip, constant or copy), or leaves it unmentioned.
+  void write(VarId v, std::vector<Expr>& conj) {
+    switch (pick(4)) {
+      case 0: conj.push_back(ex::eq(ex::primed_var(v), flip(v))); break;
+      case 1: conj.push_back(ex::eq(ex::primed_var(v), val(v))); break;
+      case 2: conj.push_back(ex::eq(ex::primed_var(v), ex::var(any_visible()))); break;
+      default: break;  // unmentioned
+    }
+  }
+
+  /// Holds v, leaves it unmentioned, or (rarely) sets it.
+  void frame(VarId v, std::vector<Expr>& conj) {
+    switch (pick(5)) {
+      case 0:
+      case 1: conj.push_back(ex::unchanged({v})); break;
+      case 2:
+      case 3: break;
+      default: conj.push_back(ex::eq(ex::primed_var(v), val(v)));
+    }
+  }
+
+  CanonicalSpec part(const System& sys, int k, bool hidden) {
+    CanonicalSpec s;
+    s.name = "P" + std::to_string(k);
+    s.init = ex::top();
+    s.sub = sys.outputs[static_cast<std::size_t>(k)];
+    if (!sys.shared.empty() && pick(4) == 0) s.sub.push_back(sys.shared[0]);
+    if (hidden) {
+      s.sub.push_back(h_);
+      s.hidden = {h_};
+    }
+    std::vector<Expr> disjuncts;
+    const int count = 1 + pick(2);
+    for (int i = 0; i < count; ++i) {
+      std::vector<Expr> conj;
+      if (coin()) conj.push_back(ex::eq(ex::var(any_visible()), val(any_visible())));
+      if (hidden && coin()) conj.push_back(ex::eq(ex::var(h_), val(h_)));
+      for (VarId v : sys.outputs[static_cast<std::size_t>(k)]) write(v, conj);
+      if (hidden) write(h_, conj);
+      for (std::size_t j = 0; j < sys.outputs.size(); ++j) {
+        if (j == static_cast<std::size_t>(k)) continue;
+        for (VarId v : sys.outputs[j]) frame(v, conj);
+      }
+      for (VarId v : sys.shared) frame(v, conj);
+      disjuncts.push_back(ex::land(std::move(conj)));
+    }
+    s.next = ex::lor(std::move(disjuncts));
+    return s;
+  }
+
+  VarTable vars_;
+  std::vector<VarId> visible_;
+  VarId h_ = 0;
+  std::mt19937 rng_;
+};
+
+/// `states` as a sorted set.
+std::vector<State> as_set(std::vector<State> states) {
+  auto lt = [](const State& a, const State& b) { return a.values() < b.values(); };
+  std::sort(states.begin(), states.end(), lt);
+  states.erase(std::unique(states.begin(), states.end()), states.end());
+  return states;
+}
+
+/// Printable keys of a state set, for readable failure diffs.
+std::vector<std::string> keys(const VarTable& vars, const std::vector<State>& states) {
+  std::vector<std::string> out;
+  for (const State& t : states) out.push_back(t.to_string(vars));
+  return out;
+}
+
+bool agrees_outside(const std::vector<VarId>& tuple, const State& s, const State& t) {
+  for (VarId v = 0; v < s.size(); ++v) {
+    if (std::find(tuple.begin(), tuple.end(), v) == tuple.end() && s[v] != t[v]) return false;
+  }
+  return true;
+}
+
+class ConjunctionHarness : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ConjunctionHarness, GeneratedStepsEqualGenerateAndTest) {
+  const unsigned seed = GetParam();
+  SystemGen gen(seed);
+  const VarTable& vars = gen.vars();
+  const StateSpace space(vars);
+  std::size_t joint_steps = 0, breaking_steps = 0, disjoint_cases = 0;
+
+  for (unsigned c = 0; c < kSystemCasesPerSeed; ++c) {
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " case=" + std::to_string(c));
+    const bool with_disjoint = gen.coin();
+    disjoint_cases += with_disjoint ? 1 : 0;
+
+    // --- build_composite_graph: h is pinned by a frame part. ---
+    {
+      SystemGen::System sys = gen.system(/*hidden=*/false);
+      std::vector<CompositePart> parts;
+      for (const CanonicalSpec& p : sys.parts) parts.push_back({p, true});
+      if (with_disjoint) parts.push_back({make_disjoint(sys.outputs, "G"), false});
+      if (!sys.shared.empty()) {
+        CanonicalSpec frame;
+        frame.name = "Frame";
+        frame.init = ex::top();
+        frame.next = ex::top();
+        frame.sub = sys.shared;
+        parts.push_back({frame, false});
+      }
+      parts.push_back({make_pin(vars, {gen.h()}, "PinH"), false});
+      std::vector<std::vector<VarId>> free_tuples;
+      if (gen.coin()) {
+        free_tuples.push_back(sys.shared.empty() || gen.coin() ? sys.outputs.back()
+                                                               : sys.shared);
+      }
+      const StateGraph g = build_composite_graph(vars, parts, free_tuples, {gen.h()});
+      for (StateId id = 0; id < g.num_states(); ++id) {
+        const State s = g.state(id);
+        std::vector<State> expected;
+        space.for_each_state([&](const State& t) {
+          if (t == s) return;
+          bool moved = false;
+          for (const CanonicalSpec& p : sys.parts) moved = moved || eval_action(p.next, vars, s, t);
+          for (const std::vector<VarId>& f : free_tuples) moved = moved || agrees_outside(f, s, t);
+          if (!moved) return;
+          for (const CompositePart& p : parts) {
+            if (!p.spec.step_ok(vars, s, t)) return;
+          }
+          expected.push_back(t);
+          std::size_t owners = 0;
+          for (const std::vector<VarId>& o : sys.outputs) owners += changes_tuple(o, s, t);
+          joint_steps += owners > 1 ? 1 : 0;
+        });
+        std::vector<State> got;
+        for (StateId t : g.successors(id)) {
+          if (t != id) got.push_back(g.state(t));
+        }
+        got = as_set(std::move(got));
+        expected = as_set(std::move(expected));
+        if (got != expected) {
+          ASSERT_EQ(keys(vars, got), keys(vars, expected)) << "compose at " << s.to_string(vars);
+        }
+      }
+    }
+
+    // --- ConstraintExplorer: h hidden in part 0 (or normalized away), one
+    // machine possibly freeze-wrapped. ---
+    {
+      SystemGen::System sys = gen.system(/*hidden=*/gen.coin());
+      const std::vector<VarId> normalize = {gen.h()};
+      const int frozen = gen.coin() ? gen.pick(static_cast<int>(sys.parts.size())) : -1;
+      std::vector<std::shared_ptr<const SafetyMachine>> constraints;
+      std::vector<Mover> movers;
+      for (std::size_t k = 0; k < sys.parts.size(); ++k) {
+        std::shared_ptr<const SafetyMachine> m = std::make_shared<PrefixMachine>(vars, sys.parts[k]);
+        if (static_cast<int>(k) == frozen) m = std::make_shared<FreezeMachine>(m, gen.visible());
+        constraints.push_back(std::move(m));
+        movers.push_back(mover_from_spec(sys.parts[k], static_cast<int>(k), normalize));
+      }
+      if (with_disjoint) {
+        constraints.push_back(std::make_shared<PrefixMachine>(vars, make_disjoint(sys.outputs)));
+      }
+      const ProductMachine product(constraints);
+      const ConstraintExplorer explorer(vars, constraints, movers, ex::top(), normalize);
+      const StateGraph& g = explorer.graph();
+      const std::size_t width = vars.size();
+      auto visible = [&](const State& node) {
+        return State(std::vector<Value>(node.values().begin(), node.values().begin() + width));
+      };
+      auto normalized = [&](State t) {
+        t[gen.h()] = vars.domain(gen.h())[0];
+        return t;
+      };
+      // Brute-force action successors of mover k from a full source state,
+      // normalized; many product nodes share a source.
+      std::vector<std::unordered_map<State, std::vector<State>, StateHash>> brute(
+          sys.parts.size());
+      auto moves = [&](std::size_t k, const State& src) -> const std::vector<State>& {
+        auto [it, fresh] = brute[k].try_emplace(src);
+        if (fresh) {
+          space.for_each_state([&](const State& t) {
+            if (eval_action(sys.parts[k].next, vars, src, t)) it->second.push_back(normalized(t));
+          });
+        }
+        return it->second;
+      };
+      for (StateId id = 0; id < g.num_states(); ++id) {
+        const State u = g.state(id);
+        const State s = visible(u);
+        const Value& cfg = u[width];
+        std::vector<State> candidates = {s};
+        for (std::size_t k = 0; k < sys.parts.size(); ++k) {
+          std::vector<State> sources = {s};
+          if (sys.parts[k].has_hidden()) {
+            sources.clear();
+            const Value configs = product.factor(k).mover_configs(product.factor_config(cfg, k));
+            for (const Value& hv : configs.as_tuple()) {
+              State src = s;
+              src[gen.h()] = hv.as_tuple()[0];
+              sources.push_back(std::move(src));
+            }
+          }
+          for (const State& src : sources) {
+            const std::vector<State>& ts = moves(k, src);
+            candidates.insert(candidates.end(), ts.begin(), ts.end());
+          }
+        }
+        std::vector<State> expected;
+        for (const State& t : candidates) {
+          Value next = product.step(cfg, s, t);
+          if (!product.alive(next) || (t == s && next == cfg)) continue;
+          std::vector<Value> values = t.values();
+          values.push_back(std::move(next));
+          expected.emplace_back(std::move(values));
+          if (frozen >= 0 && !sys.parts[static_cast<std::size_t>(frozen)].has_hidden() &&
+              !sys.parts[static_cast<std::size_t>(frozen)].step_ok(vars, s, t)) {
+            ++breaking_steps;
+          }
+        }
+        std::vector<State> got;
+        for (StateId t : g.successors(id)) got.push_back(g.state(t));
+        got = as_set(std::move(got));
+        expected = as_set(std::move(expected));
+        if (got != expected) {
+          ASSERT_EQ(keys(g.vars(), got), keys(g.vars(), expected))
+              << "product at " << u.to_string(g.vars());
+        }
+      }
+    }
+  }
+  // Non-vacuity: joint steps (no Disjoint forbids them) and steps that break
+  // a freeze-wrapped part both occur, and both Disjoint branches run.
+  EXPECT_GT(joint_steps, 0u);
+  EXPECT_GT(breaking_steps, 0u);
+  EXPECT_GT(disjoint_cases, 0u);
+  EXPECT_LT(disjoint_cases, kSystemCasesPerSeed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ConjunctionHarness, ::testing::Range(0u, kSeeds));
 
 }  // namespace
 }  // namespace opentla

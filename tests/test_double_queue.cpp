@@ -15,6 +15,7 @@
 #include "opentla/check/invariant.hpp"
 #include "opentla/check/refinement.hpp"
 #include "opentla/compose/compose.hpp"
+#include "opentla/obs/obs.hpp"
 #include "opentla/queue/double_queue.hpp"
 
 namespace opentla {
@@ -87,6 +88,10 @@ TEST_F(DoubleQueueTest, CompositionTheoremProvesFormulaFour) {
     saw_h1 |= ob.id.rfind("H1", 0) == 0;
     saw_h2a |= ob.id == "H2a";
     saw_h2b |= ob.id == "H2b";
+    // G keeps QM^1's and QM^2's steps apart, so H2b rests on no assumption.
+    if (ob.id == "H2b") {
+      EXPECT_EQ(ob.detail.find("[assumes"), std::string::npos) << ob.detail;
+    }
   }
   EXPECT_TRUE(saw_h1 && saw_h2a && saw_h2b);
   // H1's product build is shared by both H1 targets: charged to the proof,
@@ -106,12 +111,80 @@ TEST_F(DoubleQueueTest, FormulaThreeWithoutGIsInvalid) {
   EXPECT_FALSE(report.all_discharged());
   // The failure must come with a concrete counterexample trace.
   bool found_failure_with_trace = false;
+  bool saw_h2b = false;
   for (const Obligation& ob : report.obligations) {
     if (!ob.discharged && ob.detail.find("counterexample") != std::string::npos) {
       found_failure_with_trace = true;
     }
+    if (ob.id != "H2b") continue;
+    // Without G nothing keeps the queues' buffers from changing in one
+    // step: H2b's complete system assumes it, and its detail says so.
+    saw_h2b = true;
+    EXPECT_NE(ob.detail.find("[assumes HiddenInterleaving]"), std::string::npos) << ob.detail;
   }
   EXPECT_TRUE(found_failure_with_trace) << report.to_string();
+  EXPECT_TRUE(saw_h2b);
+}
+
+/// The value of `var` in state `index` of the trace printed in `detail`.
+std::string traced_value(const std::string& detail, int index, const std::string& var) {
+  const std::string state = "state " + std::to_string(index) + ": ";
+  const std::size_t line = detail.find(state);
+  if (line == std::string::npos) return "";
+  const std::size_t end = detail.find('\n', line);
+  const std::size_t at = detail.find(var + " = ", line);
+  if (at == std::string::npos || at > end) return "";
+  const std::size_t from = at + var.size() + 3;
+  return detail.substr(from, detail.find_first_of(",\n", from) - from);
+}
+
+TEST_F(DoubleQueueTest, FreezeBreakingStepIsExploredBesideAnotherMoversStep) {
+  // H2a's C(QE^dbl)_{+v} admits one step that breaks QE^dbl. The product
+  // explores such a step beside another mover's action step, where QE^dbl's
+  // subscript ranges freely, and never alone. Formula (3) at N = 1 fails H2a
+  // on a 1146-node product with a 3-state counterexample: its last step is
+  // QM^1's Enq (i.ack flips) with o.ack flipping although o.sig = o.ack,
+  // which no QE^dbl step allows.
+  std::vector<AGSpec> components = {{sys.qe1, sys.qm1}, {sys.qe2, sys.qm2}};
+  ProofReport report = verify_composition(sys.vars, components, sys.goal(), options());
+  const Obligation* h2a = nullptr;
+  for (const Obligation& ob : report.obligations) {
+    if (ob.id == "H2a") h2a = &ob;
+  }
+  ASSERT_NE(h2a, nullptr);
+  EXPECT_FALSE(h2a->discharged);
+  EXPECT_FALSE(h2a->inconclusive);
+  EXPECT_NE(h2a->detail.find("product nodes: 1146,"), std::string::npos) << h2a->detail;
+  EXPECT_NE(h2a->detail.find("counterexample (3 states)"), std::string::npos) << h2a->detail;
+  for (const std::string var : {"i.ack", "o.ack"}) {
+    EXPECT_NE(traced_value(h2a->detail, 1, var), traced_value(h2a->detail, 2, var)) << var;
+  }
+  EXPECT_EQ(traced_value(h2a->detail, 1, "o.sig"), traced_value(h2a->detail, 1, "o.ack"));
+}
+
+TEST_F(DoubleQueueTest, H2bBuildGeneratesNoMoreCandidatesThanItKeeps) {
+  // Regression guard on Figure 9's H2b complete system at N = 2: with G
+  // recognized, each component's steps are generated alone, so the
+  // candidates stay within edges plus states (generate-and-test enumerated
+  // 69 896 for 12 310 edges).
+  const DoubleQueueSystem big = make_double_queue(/*capacity=*/2, /*num_values=*/2);
+  const AGSpec goal = big.goal();
+  std::vector<CompositePart> parts = {{goal.assumption, true}};
+  for (const AGSpec& c : big.components()) {
+    parts.push_back({c.guarantee.unhidden(), c.guarantee_is_mover});
+  }
+  parts.push_back({make_pin(big.vars, {big.q}, "PinUnconstrained"), false});
+  obs::reset();
+  obs::set_enabled(true);
+  const StateGraph low = build_composite_graph(big.vars, parts, {}, {big.q});
+  const obs::Snapshot snap = obs::snapshot();
+  obs::set_enabled(false);
+  EXPECT_EQ(low.num_states(), 3574u);
+  EXPECT_EQ(low.num_edges(), 12310u);
+  if (obs::compile_time_enabled()) {
+    EXPECT_LE(snap.counter(obs::Counter::SuccessorsEnumerated),
+              low.num_edges() + low.num_states());
+  }
 }
 
 TEST_F(DoubleQueueTest, RefinementCorollaryWfSplitEquivalence) {

@@ -47,7 +47,7 @@ TEST_F(InclusionTest, HoldsForImpliedBound) {
   CanonicalSpec sx = stepper(x, "SX");
   std::vector<std::shared_ptr<const SafetyMachine>> constraints = {
       std::make_shared<PrefixMachine>(vars, sx)};
-  std::vector<Mover> movers = {mover_from_spec(vars, sx, 0, {y})};
+  std::vector<Mover> movers = {mover_from_spec(sx, 0, {y})};
   ConstraintExplorer explorer(vars, constraints, movers, sx.init, {y});
   PrefixMachine target(vars, bound(x, 2, "Bound2"));
   EXPECT_TRUE(explorer.check_target(target).holds);
@@ -58,7 +58,7 @@ TEST_F(InclusionTest, FailsForTighterBoundWithTrace) {
   CanonicalSpec sx = stepper(x, "SX");
   std::vector<std::shared_ptr<const SafetyMachine>> constraints = {
       std::make_shared<PrefixMachine>(vars, sx)};
-  std::vector<Mover> movers = {mover_from_spec(vars, sx, 0, {y})};
+  std::vector<Mover> movers = {mover_from_spec(sx, 0, {y})};
   ConstraintExplorer explorer(vars, constraints, movers, sx.init, {y});
   PrefixMachine target(vars, bound(x, 1, "Bound1"));
   ConstraintExplorer::Verdict v = explorer.check_target(target);
@@ -72,7 +72,7 @@ TEST_F(InclusionTest, MultipleTargetsShareOneExploration) {
   CanonicalSpec sx = stepper(x, "SX");
   std::vector<std::shared_ptr<const SafetyMachine>> constraints = {
       std::make_shared<PrefixMachine>(vars, sx)};
-  std::vector<Mover> movers = {mover_from_spec(vars, sx, 0, {y})};
+  std::vector<Mover> movers = {mover_from_spec(sx, 0, {y})};
   ConstraintExplorer explorer(vars, constraints, movers, sx.init, {y});
   PrefixMachine t1(vars, bound(x, 2, "B2"));
   PrefixMachine t2(vars, bound(x, 0, "B0"));
@@ -102,7 +102,7 @@ TEST_F(InclusionTest, HiddenSourceMoversUseMachineConfigs) {
 
   std::vector<std::shared_ptr<const SafetyMachine>> constraints = {
       std::make_shared<PrefixMachine>(v2, s)};
-  std::vector<Mover> movers = {mover_from_spec(v2, s, 0, s.hidden)};
+  std::vector<Mover> movers = {mover_from_spec(s, 0, s.hidden)};
   ConstraintExplorer explorer(v2, constraints, movers, s.init, s.hidden);
   // Reachability of x = 1 requires the hidden ticks: the target "x stays 0"
   // must FAIL.
@@ -134,7 +134,7 @@ TEST_F(InclusionTest, FreezeMachineConstraintAllowsPostViolationStutter) {
   setter.init = ex::eq(ex::var(x), ex::integer(0));
   setter.next = ex::eq(ex::primed_var(x), ex::integer(1));
   setter.sub = {x};
-  std::vector<Mover> movers = {mover_from_spec(vars, setter, -1, {y})};
+  std::vector<Mover> movers = {mover_from_spec(setter, -1, {y})};
   ConstraintExplorer explorer(vars, constraints, movers, x_zero.init, {y});
   PrefixMachine ok(vars, bound(x, 1, "Bound1"));
   EXPECT_TRUE(explorer.check_target(ok).holds);
@@ -170,7 +170,7 @@ TEST_F(InclusionTest, FreezeMachineAgreesWithExplicitFreezeSpec) {
   auto verdicts = [&](std::shared_ptr<const SafetyMachine> freeze_constraint) {
     std::vector<std::shared_ptr<const SafetyMachine>> constraints = {
         std::move(freeze_constraint)};
-    std::vector<Mover> movers = {mover_from_spec(v2, stepper, -1, {flag})};
+    std::vector<Mover> movers = {mover_from_spec(stepper, -1, {flag})};
     ConstraintExplorer explorer(v2, constraints, movers, e.init, {flag});
     std::vector<bool> out;
     for (std::int64_t bound : {0, 1, 2}) {
@@ -199,7 +199,7 @@ TEST_F(InclusionTest, NodeLimitStopsGracefully) {
   CanonicalSpec sx = stepper(x, "SX");
   std::vector<std::shared_ptr<const SafetyMachine>> constraints = {
       std::make_shared<PrefixMachine>(vars, sx)};
-  std::vector<Mover> movers = {mover_from_spec(vars, sx, 0, {y})};
+  std::vector<Mover> movers = {mover_from_spec(sx, 0, {y})};
   ExploreOptions opts;
   opts.max_states = 1;
   ConstraintExplorer explorer(vars, constraints, movers, sx.init, {y}, opts);

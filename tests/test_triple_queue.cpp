@@ -7,7 +7,9 @@
 #include "opentla/ag/composition_theorem.hpp"
 #include "opentla/check/invariant.hpp"
 #include "opentla/compose/compose.hpp"
+#include "opentla/obs/obs.hpp"
 #include "opentla/queue/double_queue.hpp"
+#include "opentla/tla/disjoint.hpp"
 
 namespace opentla {
 namespace {
@@ -16,17 +18,9 @@ class TripleQueueTest : public ::testing::Test {
  protected:
   TripleQueueTest() : sys(make_triple_queue(/*capacity=*/1, /*num_values=*/2)) {}
 
-  CompositionOptions options(bool interleaved_optimization = true) {
+  CompositionOptions options() const {
     CompositionOptions opts;
     opts.goal_witness = {{"q", sys.qbar}};
-    if (interleaved_optimization) {
-      // Sound here because G3 is among the components.
-      opts.env_outputs = {sys.i.sig, sys.i.val, sys.o.ack};
-      opts.component_outputs = {{},  // G3
-                                {sys.z1.sig, sys.z1.val, sys.i.ack},
-                                {sys.z2.sig, sys.z2.val, sys.z1.ack},
-                                {sys.o.sig, sys.o.val, sys.z2.ack}};
-    }
     return opts;
   }
 
@@ -48,30 +42,41 @@ TEST_F(TripleQueueTest, CompositionTheoremProvesTheChain) {
 TEST_F(TripleQueueTest, WithoutGTheChainFails) {
   std::vector<AGSpec> components = {{sys.qe1, sys.qm1}, {sys.qe2, sys.qm2},
                                     {sys.qe3, sys.qm3}};
-  // No G conjunct: the interleaving optimization would be unsound, so the
-  // exhaustive exploration is used.
-  ProofReport report = verify_composition(sys.vars, components, sys.goal(),
-                                          options(/*interleaved_optimization=*/false));
+  // No G conjunct: no Disjoint filters the steps, so the explorations
+  // generate every joint move of the components too.
+  ProofReport report = verify_composition(sys.vars, components, sys.goal(), options());
   EXPECT_FALSE(report.all_discharged());
 }
 
 TEST_F(TripleQueueTest, InterleavingOptimizationPreservesTheProof) {
-  // The optimized and exhaustive explorations must agree: same verdict and
-  // the same product sizes in every obligation's statistics.
+  // Two independent routes to the same explorations. Route one: G as
+  // built, recognized as a Disjoint, so the step generator never builds the
+  // components' joint moves. Route two: the same action behind a double
+  // negation, which no syntactic check recognizes, so every joint move is
+  // generated and G's machine (or filter) rejects it. Verdicts and every
+  // obligation's statistics must coincide. Only route two's H2b names the
+  // HiddenInterleaving assumption, since there no recognized Disjoint
+  // shows that G already implies it.
+  std::vector<AGSpec> opaque = sys.components();
+  ASSERT_FALSE(disjoint_tuples(opaque[0].guarantee).empty());
+  opaque[0].guarantee.next = ex::lnot(ex::lnot(opaque[0].guarantee.next));
+  ASSERT_TRUE(disjoint_tuples(opaque[0].guarantee).empty());
+
   ProofReport fast = verify_composition(sys.vars, sys.components(), sys.goal(), options());
-  ProofReport slow = verify_composition(sys.vars, sys.components(), sys.goal(),
-                                        options(/*interleaved_optimization=*/false));
-  EXPECT_TRUE(fast.all_discharged());
-  EXPECT_TRUE(slow.all_discharged());
+  ProofReport slow = verify_composition(sys.vars, opaque, sys.goal(), options());
+  EXPECT_TRUE(fast.all_discharged()) << fast.to_string();
+  EXPECT_TRUE(slow.all_discharged()) << slow.to_string();
   ASSERT_EQ(fast.obligations.size(), slow.obligations.size());
+  const std::string caveat = " [assumes HiddenInterleaving]";
+  auto stats = [](const std::string& detail) { return detail.substr(0, detail.find('\n')); };
   for (std::size_t i = 0; i < fast.obligations.size(); ++i) {
-    EXPECT_EQ(fast.obligations[i].discharged, slow.obligations[i].discharged);
-    // Node/edge statistics (when present) must coincide.
-    auto stats = [](const std::string& detail) {
-      return detail.substr(0, detail.find('\n'));
-    };
-    EXPECT_EQ(stats(fast.obligations[i].detail), stats(slow.obligations[i].detail))
-        << fast.obligations[i].id;
+    const Obligation& f = fast.obligations[i];
+    const Obligation& s = slow.obligations[i];
+    EXPECT_EQ(f.id, s.id);
+    EXPECT_EQ(f.discharged, s.discharged);
+    const std::string expected = stats(f.detail) + (f.id == "H2b" ? caveat : "");
+    EXPECT_EQ(stats(s.detail), expected) << f.id;
+    EXPECT_EQ(f.detail.find(caveat), std::string::npos) << f.id;
   }
 }
 
@@ -82,8 +87,21 @@ TEST_F(TripleQueueTest, CapacityBoundIsExactlyThreeNPlusTwo) {
       {sys.big.env, true},        {sys.qm1.unhidden(), true},
       {sys.qm2.unhidden(), true}, {sys.qm3.unhidden(), true},
       {sys.g, false},             {make_pin(sys.vars, {sys.q}, "PinQ"), false}};
+  obs::reset();
+  obs::set_enabled(true);
   StateGraph low =
       build_composite_graph(sys.vars, parts, /*free_tuples=*/{}, /*pinned=*/{sys.q});
+  const obs::Snapshot snap = obs::snapshot();
+  obs::set_enabled(false);
+  EXPECT_EQ(low.num_states(), 6038u);
+  EXPECT_EQ(low.num_edges(), 21662u);
+  if (obs::compile_time_enabled()) {
+    // Regression guard: G confines each queue to its own steps, so the
+    // generator emits no more candidates than the graph has edges and
+    // states. Generate-and-test enumerated 17.0 M here.
+    EXPECT_LE(snap.counter(obs::Counter::SuccessorsEnumerated),
+              low.num_edges() + low.num_states());
+  }
   const int cap = 3 * sys.capacity + 2;
   EXPECT_TRUE(check_invariant(low, ex::le(ex::len(sys.qbar), ex::integer(cap))).holds);
   EXPECT_FALSE(check_invariant(low, ex::lt(ex::len(sys.qbar), ex::integer(cap))).holds);

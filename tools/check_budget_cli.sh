@@ -9,7 +9,9 @@
 #      --flight-recorder dump is schema-valid against
 #      tools/flight_schema.json;
 #   3. a violation found before any breach still exits 1: counterexamples
-#      on partial graphs are real;
+#      on partial graphs are real; a `refine` whose refinement check (not
+#      its graph build) the deadline stops exits 3 and never reports a
+#      refinement;
 #   4. (obs-on) SIGTERM during a recorded run ends in exit 3 with
 #      `stop_reason: "interrupted"` and a written dump;
 #   5. (obs-on) --run-ledger appends one line per run, schema-valid
@@ -125,6 +127,34 @@ print(f"flight.jsonl: ok ({len(lines) - 1} events)")
 PY
   echo "ok: flight-recorder dump is schema-valid"
 fi
+
+# --- 2b. A refine stopped inside the refinement check is inconclusive. ---
+# The 1000-state low graph builds in milliseconds; each of the high
+# module's steps evaluates a 301 x 301 quantifier, so the full check runs
+# for seconds and the deadline lands inside check_refinement, after the
+# build: the partial result names the complete graph.
+
+cat > ticker.tla <<'EOF'
+MODULE Ticker
+VARIABLE x \in 0..999
+INIT x = 0
+NEXT x' = IF x = 999 THEN 0 ELSE x + 1
+SUBSCRIPT <<x>>
+EOF
+cat > slow_ticker.tla <<'EOF'
+MODULE SlowTicker
+VARIABLE x \in 0..999
+INIT x = 0
+NEXT (x' = IF x = 999 THEN 0 ELSE x + 1) /\ \A a \in 0..300 : \A b \in 0..300 : a + b >= 0
+SUBSCRIPT <<x>>
+EOF
+rc=0
+out="$("$tlacheck" refine ticker.tla slow_ticker.tla --deadline-ms 300)" || rc=$?
+[ "$rc" -eq 3 ] || fail "refine --deadline-ms 300: expected exit 3, got $rc: $out"
+grep -q 'stop_reason: "deadline"' <<<"$out" || fail "refine under budget lacks stop_reason: $out"
+grep -q 'after 1000 states' <<<"$out" || fail "refine stopped before its low graph was built: $out"
+grep -q ' refines ' <<<"$out" && fail "budget-stopped refine claimed a refinement: $out"
+echo "ok: a refinement check stopped by the budget is inconclusive (exit 3)"
 
 # --- 3. A violation beats the budget: exit 1, not 3. ---
 

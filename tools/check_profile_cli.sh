@@ -3,7 +3,8 @@
 #
 #   1. the human profile render carries the top-N span table (--top) with
 #      the self/total/count columns and the per-domain memory-accounting
-#      section (tracked_peak_bytes, bytes_per_state);
+#      section (tracked_peak_bytes, bytes_per_state), and `profile compose`
+#      on specs/ag_queue prints a waste_ratio of at most 1;
 #   2. --format folded emits the collapsed-stack format flamegraph.pl
 #      consumes ("name[;name...] <count>" per line, nothing else), both
 #      with a live sampler (--sample-hz) and from recorded spans alone;
@@ -76,6 +77,21 @@ grep -q "state_store" <<<"$out" || fail "memory section lacks the state_store do
 grep -q "tracked_peak_bytes" <<<"$out" || fail "memory section lacks tracked_peak_bytes"
 grep -q "bytes_per_state" <<<"$out" || fail "memory section lacks bytes_per_state"
 echo "ok: human render has the top-N span table and memory section"
+
+# The waste ratio (successors_enumerated over the successor_fanout sum) is
+# printed, so nobody divides the two by hand. On the ag_queue composition
+# with G every component's steps are generated alone: at most 1.
+ag="$specs/ag_queue"
+out="$("$tlacheck" profile compose --constraint "$ag/g.tla" \
+        --component "$ag/qe1.tla,$ag/qm1.tla" --component "$ag/qe2.tla,$ag/qm2.tla" \
+        --goal "$ag/qedbl.tla,$ag/qmdbl.tla" \
+        --witness 'q=q2 \o (IF z.sig # z.ack THEN <<z.val>> ELSE <<>>) \o q1')" \
+  || fail "profile compose on ag_queue failed with $?"
+ratio="$(sed -n 's/^  waste_ratio \([0-9.]*\) (successors_enumerated [0-9]* \/ successor_fanout sum [0-9]*)$/\1/p' <<<"$out")"
+[ -n "$ratio" ] || fail "profile compose lacks the waste_ratio line"
+python3 -c "import sys; sys.exit(0 if 0 < float('$ratio') <= 1.0 else 1)" \
+  || fail "ag_queue compose waste_ratio $ratio is not in (0, 1]"
+echo "ok: profile compose prints waste_ratio $ratio"
 
 # --- 2. Folded format: flamegraph.pl's collapsed-stack contract. ---
 

@@ -24,7 +24,10 @@
 //            [--witness VAR=EXPR]...            (constraints are TRUE +> G
 //                                               conjuncts, e.g. DISJOINT
 //                                               modules; all modules share
-//                                               one universe by name)
+//                                               one universe by name; at
+//                                               most 20 movers held per
+//                                               exploration, see
+//                                               verify_composition)
 //   tlacheck coverage SPEC.tla                  per-action coverage over the
 //                   [--format human|json]       reachable states: how often
 //                                               each ACTION was enabled and
@@ -393,7 +396,10 @@ int cmd_refine(const ParsedModule& low, const ParsedModule& high,
     return partial_result(g.stop_reason(), g.num_states());
   }
   RefinementMapping mapping = mapping_by_name(*low.vars, *high.vars, witnesses);
-  RefinementResult r = check_refinement(g, low.spec.fairness, high.spec, mapping);
+  RefinementResult r = check_refinement(g, low.spec.fairness, high.spec, mapping, eopts.budget);
+  if (r.stop_reason != run::StopReason::kCompleted) {
+    return partial_result(r.stop_reason, g.num_states());
+  }
   if (r.holds) {
     std::cout << low.name << " refines " << high.name << " (" << r.states << " states, "
               << r.edges << " edges)\n";
