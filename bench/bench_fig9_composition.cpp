@@ -11,7 +11,6 @@
 
 #include "bench_common.hpp"
 #include "opentla/ag/composition_theorem.hpp"
-#include "opentla/obs/flight_recorder.hpp"
 #include "opentla/queue/double_queue.hpp"
 
 using namespace opentla;
@@ -107,23 +106,6 @@ void BM_FullProof(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullProof)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
-
-void BM_FullProofFlightRecorder(benchmark::State& state) {
-  // The same full proof with the flight recorder ring live: the pair with
-  // BM_FullProof is the WATCHDOG experiment's recorder-overhead number
-  // (EXPERIMENTS.md demands < 2%).
-  DoubleQueueSystem sys = make_double_queue(static_cast<int>(state.range(0)), 2);
-  CompositionOptions opts = options(sys);
-  obs::flight_recorder_enable(4096, "/dev/null");
-  for (auto _ : state) {
-    ProofReport proof = verify_composition(sys.vars, sys.components(), sys.goal(), opts);
-    benchmark::DoNotOptimize(proof.all_discharged());
-  }
-  state.counters["flight_events"] =
-      static_cast<double>(obs::flight_recorder_recorded());
-  obs::flight_recorder_disable();
-}
-BENCHMARK(BM_FullProofFlightRecorder)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 void BM_RefutationWithoutG(benchmark::State& state) {
   DoubleQueueSystem sys = make_double_queue(static_cast<int>(state.range(0)), 2);

@@ -130,8 +130,9 @@ void StateGraph::explore_serial(const std::vector<State>& init_states, const Suc
   OPENTLA_OBS_GAUGE_MAX(PeakGraphStates, store_.size());
   account_adjacency();
   if (stop_reason_ != run::StopReason::kCompleted && budget != nullptr) {
-    // Latch the breach into the budget so obs counters and the flight
-    // recorder see state-budget stops the same way they see deadline ones.
+    // Latch the breach into the budget so obs counters and the caller's
+    // stopped()/reason() see state-budget stops the same way they see
+    // deadline ones.
     budget->request_stop(stop_reason_);
   }
 }

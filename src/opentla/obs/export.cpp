@@ -1,7 +1,5 @@
 #include "opentla/obs/export.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <sstream>
 
 namespace opentla::obs {
@@ -105,47 +103,10 @@ std::string render_openmetrics(const Snapshot& snap) {
   out << "opentla_mem_tracked_peak_bytes " << snap.mem_tracked_peak_bytes << "\n";
   out << "# TYPE opentla_bytes_per_state gauge\n";
   out << "opentla_bytes_per_state " << snap.bytes_per_state() << "\n";
+  out << "# TYPE opentla_waste_ratio gauge\n";
+  out << "opentla_waste_ratio " << snap.waste_ratio() << "\n";
   out << "# EOF\n";
   return out.str();
-}
-
-JsonlWriter::JsonlWriter(const std::string& path) {
-  file_ = std::fopen(path.c_str(), "a");
-  ok_ = file_ != nullptr;
-}
-
-JsonlWriter::~JsonlWriter() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (file_) std::fclose(file_);
-  file_ = nullptr;
-  ok_ = false;
-}
-
-void JsonlWriter::write_line(const std::string& line) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!file_) return;
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fputc('\n', file_);
-  std::fflush(file_);  // crash-safe: at most the in-flight line is lost
-}
-
-void JsonlWriter::write_phase(const PhaseEvent& ev) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "\",\"ts_us\":%" PRIu64 "}", ev.ts_us);
-  write_line("{\"type\":\"phase\",\"phase\":\"" + json_escape(ev.phase) + buf);
-}
-
-void JsonlWriter::write_progress(const ProgressSample& s) {
-  char buf[400];
-  std::snprintf(buf, sizeof buf,
-                "{\"type\":\"progress\",\"seq\":%" PRIu64 ",\"final\":%s,\"ts_us\":%" PRIu64
-                ",\"elapsed_us\":%" PRIu64 ",\"states\":%" PRIu64 ",\"frontier\":%" PRIu64
-                ",\"states_per_sec\":%.1f,\"rss_bytes\":%" PRIu64
-                ",\"tracked_bytes\":%" PRIu64 ",\"bytes_per_state\":%" PRIu64 "}",
-                s.seq, s.final_sample ? "true" : "false", s.ts_us, s.elapsed_us, s.states,
-                s.frontier, s.states_per_sec, s.rss_bytes, s.tracked_bytes,
-                s.bytes_per_state);
-  write_line(buf);
 }
 
 }  // namespace opentla::obs

@@ -1,55 +1,26 @@
 // opentla/obs/export.hpp
 //
-// Machine-facing exports for the obs registry: an OpenMetrics/Prometheus
-// text exposition of a Snapshot (scrape it, or diff two files in CI) and
-// an append-only JSONL event stream (one JSON object per line — phase
-// events and progress heartbeats — flushed per line so a crash loses at
-// most the line in flight). The JSONL line schema is documented in
-// tools/events_schema.json.
+// Machine-facing export for the obs registry: an OpenMetrics/Prometheus
+// text exposition of a Snapshot (what `tlacheck --metrics-out` writes;
+// diff two files in CI, or hand one to a collector).
 
 #pragma once
 
-#include <mutex>
 #include <string>
 
 #include "opentla/obs/obs.hpp"
-#include "opentla/obs/progress.hpp"
 
 namespace opentla::obs {
 
 /// OpenMetrics text exposition: counters as `opentla_<name>_total`,
 /// gauges and levels as `opentla_<name>`, labeled counters with their
 /// label key, histograms with cumulative `le` buckets ending at "+Inf",
+/// the derived `opentla_bytes_per_state` and `opentla_waste_ratio` gauges,
 /// and a terminating `# EOF` line.
 std::string render_openmetrics(const Snapshot& snap);
 
 /// Escapes a value for an OpenMetrics label position (backslash, quote,
 /// and newline).
 std::string openmetrics_escape(const std::string& s);
-
-/// Append-only JSONL writer. Thread-safe: phase events arrive from
-/// engine threads while progress samples arrive from the sampler.
-class JsonlWriter {
- public:
-  /// Opens `path` for appending; check ok() before use.
-  explicit JsonlWriter(const std::string& path);
-  ~JsonlWriter();
-  JsonlWriter(const JsonlWriter&) = delete;
-  JsonlWriter& operator=(const JsonlWriter&) = delete;
-
-  bool ok() const { return ok_; }
-
-  /// {"type":"phase","phase":...,"ts_us":...}
-  void write_phase(const PhaseEvent& ev);
-  /// {"type":"progress","seq":...,"final":...,"ts_us":...,...}
-  void write_progress(const ProgressSample& s);
-
- private:
-  void write_line(const std::string& line);
-
-  std::mutex mu_;
-  std::FILE* file_ = nullptr;
-  bool ok_ = false;
-};
 
 }  // namespace opentla::obs

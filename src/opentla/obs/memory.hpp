@@ -20,8 +20,8 @@
 //     "current domain" (defaults to MemDomain::Other), paired with
 //     mem_scope_alloc/free for sites without a natural owner object.
 //
-// This header also owns the single RSS helper: ProgressSampler, the
-// RunBudget memory ceiling, and the peak_rss_bytes gauge all read
+// This header also owns the single RSS helper: the --progress sampler,
+// the RunBudget memory ceiling, and the peak_rss_bytes gauge all read
 // /proc/self/statm through read_rss_bytes(); statm_resident_bytes() is
 // the pure pages-to-bytes conversion a unit test pins.
 

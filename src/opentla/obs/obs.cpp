@@ -1,6 +1,5 @@
 #include "opentla/obs/obs.hpp"
 
-#include "opentla/obs/flight_recorder.hpp"
 #include "opentla/obs/memory.hpp"
 #include "opentla/obs/profiler.hpp"
 
@@ -114,9 +113,6 @@ std::vector<SpanRecord> g_spans;
 std::uint64_t g_spans_dropped = 0;
 std::vector<PhaseEvent> g_phases;
 
-std::mutex g_phase_sink_mutex;
-std::function<void(const PhaseEvent&)> g_phase_sink;
-
 std::atomic<std::uint32_t> g_next_span_id{1};
 std::atomic<std::uint32_t> g_next_tid{1};
 
@@ -179,20 +175,8 @@ void phase_event(std::string phase_name) {
   PhaseEvent ev;
   ev.phase = std::move(phase_name);
   ev.ts_us = now_us();
-  if (flight_recorder_enabled()) {
-    flight_recorder_record(FlightKind::kPhase, ev.phase.c_str());
-  }
-  {
-    std::lock_guard<std::mutex> lock(detail::g_span_mutex);
-    if (detail::g_phases.size() < detail::kMaxPhases) detail::g_phases.push_back(ev);
-  }
-  std::lock_guard<std::mutex> lock(detail::g_phase_sink_mutex);
-  if (detail::g_phase_sink) detail::g_phase_sink(ev);
-}
-
-void set_phase_sink(std::function<void(const PhaseEvent&)> sink) {
-  std::lock_guard<std::mutex> lock(detail::g_phase_sink_mutex);
-  detail::g_phase_sink = std::move(sink);
+  std::lock_guard<std::mutex> lock(detail::g_span_mutex);
+  if (detail::g_phases.size() < detail::kMaxPhases) detail::g_phases.push_back(std::move(ev));
 }
 
 void Span::open(std::string span_name) {
@@ -467,19 +451,14 @@ std::string render_human(const Snapshot& snap) {
       out << line;
     }
   }
-  // Waste: candidates the successor generators emitted per edge the
-  // explorations kept (including stuttering self-loops). 1 or below means
-  // nothing was generated only to be filtered away.
-  const HistogramSnapshot& fanout = snap.hists[static_cast<std::size_t>(Histogram::SuccessorFanout)];
-  if (fanout.sum > 0) {
-    const std::uint64_t candidates =
-        snap.counters[static_cast<std::size_t>(Counter::SuccessorsEnumerated)];
+  const std::uint64_t fanout_sum = snap.hist(Histogram::SuccessorFanout).sum;
+  if (fanout_sum > 0) {
     char line[160];
     std::snprintf(line, sizeof line,
                   "  waste_ratio %.3f (successors_enumerated %llu / successor_fanout sum %llu)\n",
-                  static_cast<double>(candidates) / static_cast<double>(fanout.sum),
-                  static_cast<unsigned long long>(candidates),
-                  static_cast<unsigned long long>(fanout.sum));
+                  snap.waste_ratio(),
+                  static_cast<unsigned long long>(snap.counter(Counter::SuccessorsEnumerated)),
+                  static_cast<unsigned long long>(fanout_sum));
     out << line;
   }
   // Memory: tracked domains with any activity, then the headline totals.
@@ -550,9 +529,13 @@ std::string render_human(const Snapshot& snap) {
   return out.str();
 }
 
-std::string render_json(const Snapshot& snap) {
-  std::ostringstream out;
-  out << "{\n  \"counters\": {";
+namespace {
+
+// The snapshot's totals as JSON object members, without the braces: every
+// instrument up to and including "memory", but no phase events or spans.
+// render_json and write_bench_json both emit exactly these.
+void write_json_totals(std::ostream& out, const Snapshot& snap) {
+  out << "  \"counters\": {";
   for (std::size_t i = 0; i < kNumCounters; ++i) {
     if (i > 0) out << ",";
     out << "\n    \"" << name(static_cast<Counter>(i)) << "\": " << snap.counters[i];
@@ -591,7 +574,8 @@ std::string render_json(const Snapshot& snap) {
     }
     out << "], \"sum\": " << hist.sum << ", \"count\": " << hist.count << "}";
   }
-  out << "\n  },\n  \"memory\": {\n    \"domains\": {";
+  out << "\n  },\n  \"waste_ratio\": " << snap.waste_ratio();
+  out << ",\n  \"memory\": {\n    \"domains\": {";
   for (std::size_t d = 0; d < kNumMemDomains; ++d) {
     if (d > 0) out << ",";
     const MemDomainSnapshot& ms = snap.mem[d];
@@ -608,8 +592,16 @@ std::string render_json(const Snapshot& snap) {
   }
   out << "\n    },\n    \"tracked_live_bytes\": " << snap.mem_tracked_live_bytes
       << ",\n    \"tracked_peak_bytes\": " << snap.mem_tracked_peak_bytes
-      << ",\n    \"bytes_per_state\": " << snap.bytes_per_state();
-  out << "\n  },\n  \"phases\": [";
+      << ",\n    \"bytes_per_state\": " << snap.bytes_per_state() << "\n  }";
+}
+
+}  // namespace
+
+std::string render_json(const Snapshot& snap) {
+  std::ostringstream out;
+  out << "{\n";
+  write_json_totals(out, snap);
+  out << ",\n  \"phases\": [";
   for (std::size_t i = 0; i < snap.phases.size(); ++i) {
     if (i > 0) out << ",";
     out << "\n    {\"phase\": \"" << json_escape(snap.phases[i].phase)
@@ -694,60 +686,10 @@ std::string write_bench_json(const std::string& bench_name, const Snapshot& snap
   const std::string path = "BENCH_" + bench_name + ".json";
   std::ofstream out(path);
   if (!out) return "";
-  out << "{\n  \"schema\": \"opentla-bench-v3\",\n  \"bench\": \""
-      << json_escape(bench_name) << "\",\n  \"counters\": {";
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    if (i > 0) out << ",";
-    out << "\n    \"" << name(static_cast<Counter>(i)) << "\": " << snap.counters[i];
-  }
-  out << "\n  },\n  \"gauges\": {";
-  for (std::size_t i = 0; i < kNumGauges; ++i) {
-    if (i > 0) out << ",";
-    out << "\n    \"" << name(static_cast<Gauge>(i)) << "\": " << snap.gauges[i];
-  }
-  out << "\n  },\n  \"labeled\": {";
-  for (std::size_t f = 0; f < kNumLabeledCounters; ++f) {
-    if (f > 0) out << ",";
-    out << "\n    \"" << name(static_cast<LabeledCounter>(f)) << "\": {";
-    bool first = true;
-    for (std::size_t l = 0; l < snap.labeled[f].size(); ++l) {
-      if (snap.labeled[f][l] == 0) continue;
-      if (!first) out << ",";
-      first = false;
-      out << "\n      \"" << json_escape(snap.labels[l]) << "\": " << snap.labeled[f][l];
-    }
-    out << (first ? "}" : "\n    }");
-  }
-  out << "\n  },\n  \"histograms\": {";
-  for (std::size_t h = 0; h < kNumHistograms; ++h) {
-    if (h > 0) out << ",";
-    const HistogramSnapshot& hist = snap.hists[h];
-    out << "\n    \"" << name(static_cast<Histogram>(h)) << "\": {\"buckets\": [";
-    for (std::size_t b = 0; b < kHistBuckets; ++b) {
-      if (b > 0) out << ", ";
-      out << hist.buckets[b];
-    }
-    out << "], \"sum\": " << hist.sum << ", \"count\": " << hist.count << "}";
-  }
-  out << "\n  },\n  \"memory\": {\n    \"domains\": {";
-  for (std::size_t d = 0; d < kNumMemDomains; ++d) {
-    if (d > 0) out << ",";
-    const MemDomainSnapshot& ms = snap.mem[d];
-    out << "\n      \"" << name(static_cast<MemDomain>(d))
-        << "\": {\"live_bytes\": " << ms.live_bytes
-        << ", \"peak_bytes\": " << ms.peak_bytes << ", \"allocs\": " << ms.allocs
-        << ", \"alloc_size\": {\"buckets\": [";
-    for (std::size_t b = 0; b < kHistBuckets; ++b) {
-      if (b > 0) out << ", ";
-      out << ms.alloc_size_buckets[b];
-    }
-    out << "], \"sum\": " << ms.alloc_size_sum << ", \"count\": " << ms.allocs
-        << "}}";
-  }
-  out << "\n    },\n    \"tracked_live_bytes\": " << snap.mem_tracked_live_bytes
-      << ",\n    \"tracked_peak_bytes\": " << snap.mem_tracked_peak_bytes
-      << ",\n    \"bytes_per_state\": " << snap.bytes_per_state();
-  out << "\n  }\n}\n";
+  out << "{\n  \"schema\": \"opentla-bench-v4\",\n  \"bench\": \"" << json_escape(bench_name)
+      << "\",\n";
+  write_json_totals(out, snap);
+  out << "\n}\n";
   return out ? path : "";
 }
 

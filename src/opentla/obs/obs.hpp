@@ -24,7 +24,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -70,7 +69,7 @@ enum class Gauge : std::size_t {
   PeakGraphStates,         // largest single StateGraph built
   PeakProductNodes,        // largest ConstraintExplorer node set built
   PeakParWorkers,          // widest worker pool used by parallel exploration
-  PeakRssBytes,            // resident-set high-water (fed by progress samples)
+  PeakRssBytes,            // resident-set high-water (progress samples, --metrics-out)
   kCount
 };
 
@@ -228,17 +227,6 @@ inline std::uint64_t level_get(Level l) {
   return detail::g_bank.levels[static_cast<std::size_t>(l)].load(std::memory_order_relaxed);
 }
 
-/// Live reads of single instruments — what the flight recorder and the
-/// /progress endpoint sample without paying for a full snapshot().
-inline std::uint64_t counter_value(Counter c) {
-  return detail::g_bank.counters[static_cast<std::size_t>(c)].load(
-      std::memory_order_relaxed);
-}
-
-inline std::uint64_t gauge_value(Gauge g) {
-  return detail::g_bank.gauges[static_cast<std::size_t>(g)].load(std::memory_order_relaxed);
-}
-
 /// Interns `label` into the bounded global table and returns its id. Ids
 /// are stable until reset(). Past kMaxLabels - 1 distinct labels, returns
 /// kLabelOverflow ("_other"). Cold path (takes a mutex) — call at
@@ -266,13 +254,8 @@ struct PhaseEvent {
   std::uint64_t ts_us = 0;
 };
 
-/// Records a phase event in the registry and forwards it to the phase
-/// sink, if one is registered (the JSONL event stream).
+/// Records a phase event in the registry.
 void phase_event(std::string phase_name);
-
-/// Registers a callback that observes every phase event as it happens
-/// (nullptr clears). Called under an internal mutex; keep it cheap.
-void set_phase_sink(std::function<void(const PhaseEvent&)> sink);
 
 // --- Spans ---
 
@@ -378,6 +361,16 @@ struct Snapshot {
     const std::uint64_t states = gauge(Gauge::PeakGraphStates);
     return states == 0 ? 0 : mem_tracked_peak_bytes / states;
   }
+  /// Candidates the successor generators emitted per edge the explorations
+  /// kept (stuttering self-loops included): successors_enumerated over the
+  /// successor_fanout sum. 1 or below means nothing was generated only to
+  /// be filtered away; 0 when no fanout was recorded.
+  double waste_ratio() const {
+    const std::uint64_t edges = hist(Histogram::SuccessorFanout).sum;
+    return edges == 0 ? 0.0
+                      : static_cast<double>(counter(Counter::SuccessorsEnumerated)) /
+                            static_cast<double>(edges);
+  }
   /// Value of family `f` at `label`, 0 when the label was never interned.
   std::uint64_t labeled_value(LabeledCounter f, const std::string& label) const;
 };
@@ -431,8 +424,9 @@ std::string json_escape(const std::string& s);
 /// spans aggregated by name (count, total milliseconds).
 std::string render_human(const Snapshot& snap);
 
-/// One JSON object: {"counters": {...}, "gauges": {...}, "labeled": {...},
-/// "histograms": {...}, "phases": [...], "spans": [...]}.
+/// One JSON object: {"counters": {...}, "gauges": {...}, "levels": {...},
+/// "labeled": {...}, "histograms": {...}, "waste_ratio": ..., "memory":
+/// {...}, "phases": [...], "spans_dropped": ..., "spans": [...]}.
 std::string render_json(const Snapshot& snap);
 
 /// Chrome trace_event JSON ({"traceEvents": [...]}): one "X" complete
@@ -443,8 +437,8 @@ std::string render_json(const Snapshot& snap);
 std::string render_chrome_trace(const Snapshot& snap);
 
 /// Write `BENCH_<bench_name>.json` (schema tools/bench_schema.json) into
-/// the current directory: counters, gauges, labeled counters, and
-/// histograms for the whole process run.
+/// the current directory: render_json's members up to "memory" under a
+/// "schema" and a "bench" tag. Phase events and spans are left out.
 /// Returns the path written, or an empty string on I/O failure.
 std::string write_bench_json(const std::string& bench_name, const Snapshot& snap);
 

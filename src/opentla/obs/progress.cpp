@@ -42,10 +42,6 @@ ProgressSample ProgressSampler::make_sample() {
   s.frontier = level_get(Level::FrontierSize);
   s.rss_bytes = read_rss_bytes();
   gauge_max(Gauge::PeakRssBytes, s.rss_bytes);
-  const std::int64_t tracked =
-      detail::g_mem_bank.tracked_live.load(std::memory_order_relaxed);
-  s.tracked_bytes = tracked > 0 ? static_cast<std::uint64_t>(tracked) : 0;
-  s.bytes_per_state = s.states > 0 ? s.tracked_bytes / s.states : 0;
   return s;
 }
 

@@ -35,8 +35,6 @@ struct ProgressSample {
   std::uint64_t frontier = 0;     // Level::FrontierSize current value
   double states_per_sec = 0.0;    // over the last inter-sample interval
   std::uint64_t rss_bytes = 0;    // resident set size, 0 if unreadable
-  std::uint64_t tracked_bytes = 0;   // live bytes across tracked mem domains
-  std::uint64_t bytes_per_state = 0; // tracked live bytes / states, 0 early
 };
 
 /// Background heartbeat thread. Construct to start sampling, call stop()

@@ -2,10 +2,8 @@
 
 #include <csignal>
 
-#include "opentla/obs/flight_recorder.hpp"
 #include "opentla/obs/memory.hpp"
 #include "opentla/obs/obs.hpp"
-#include "opentla/obs/progress.hpp"
 
 namespace opentla::run {
 
@@ -88,11 +86,6 @@ void RunBudget::request_stop(StopReason r) {
   }
   stopped_.store(true, std::memory_order_release);
   OPENTLA_OBS_COUNT(BudgetStops);
-  if (obs::flight_recorder_enabled()) {
-    obs::flight_recorder_record(obs::FlightKind::kBudget, to_string(r),
-                                obs::counter_value(obs::Counter::StatesGenerated),
-                                obs::read_rss_bytes(), 0);
-  }
 }
 
 bool RunBudget::should_stop() {

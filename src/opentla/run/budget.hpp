@@ -8,9 +8,8 @@
 // StopReason, every engine then unwinds cooperatively, and the caller
 // gets a *partial result* (a prefix of the reachable graph, a
 // partially-checked obligation) instead of a throw or a silent
-// truncation. The ROADMAP's multi-tenant checking service hangs its
-// per-job quotas on exactly this: a breached job must come back with
-// whatever it learned, tagged with why it stopped.
+// truncation: a breached run comes back with whatever it learned, tagged
+// with why it stopped, and never reports "holds" on a partial graph.
 //
 // Thread-safety: should_stop()/request_stop()/stopped()/reason() may be
 // called concurrently from any number of worker threads. The stop latch
@@ -35,8 +34,8 @@ enum class StopReason : int {
 };
 
 /// Stable snake_case identifier ("completed", "state_budget", "deadline",
-/// "memory", "interrupted") used by verdicts, the run ledger, the flight
-/// recorder, and the CLI's partial-result output.
+/// "memory", "interrupted") used by verdicts and the CLI's partial-result
+/// output (`stop_reason: "..."`).
 const char* to_string(StopReason r);
 
 /// tlacheck exit code for a budget-stopped run with no definite verdict.
@@ -77,8 +76,7 @@ class RunBudget {
   }
 
   /// Latch a stop. The first caller wins; later calls (including from
-  /// other threads) keep the original reason. Counts Counter::BudgetStops
-  /// and records a flight-recorder event when the recorder is enabled.
+  /// other threads) keep the original reason. Counts Counter::BudgetStops.
   void request_stop(StopReason r);
 
   /// Fast cooperative poll for exploration inner loops: one relaxed load

@@ -1,38 +1,22 @@
-// Run budgets, graceful stop, and the obs v3 surfaces built on them: the
-// RunBudget latch (first breach wins, signals included), the unified
-// max_states semantics (serial and parallel stop at the same state count
-// with StopReason::kStateBudget), deadline/RSS breaches producing partial
-// graphs instead of throws, the flight-recorder ring (wraparound, torn-slot
-// safety, JSONL dump), the embedded metrics server (/metrics and /progress
-// over real sockets), and the run ledger's crash-safe JSONL append.
+// Run budgets and graceful stop: the RunBudget latch (first breach wins,
+// signals included), the unified max_states semantics (serial and
+// parallel stop at the same state count with StopReason::kStateBudget),
+// and deadline/RSS breaches producing partial graphs and inconclusive
+// checks instead of throws.
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <csignal>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "opentla/check/invariant.hpp"
 #include "opentla/check/refinement.hpp"
 #include "opentla/graph/state_graph.hpp"
 #include "opentla/graph/successor.hpp"
-#include "opentla/obs/flight_recorder.hpp"
-#include "opentla/obs/metrics_server.hpp"
-#include "opentla/obs/obs.hpp"
-#include "opentla/obs/progress.hpp"
 #include "opentla/queue/channel.hpp"
 #include "opentla/run/budget.hpp"
-#include "opentla/run/ledger.hpp"
 
 namespace opentla {
 namespace {
@@ -205,180 +189,6 @@ TEST(BudgetExplore, StoppedBudgetLeavesRefinementInconclusive) {
   EXPECT_EQ(r.stop_reason, run::StopReason::kInterrupted);
   EXPECT_TRUE(r.failed_part.empty());
   EXPECT_TRUE(r.counterexample_prefix.empty());
-}
-
-// --- The flight recorder. ---
-
-std::vector<std::string> read_lines(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  return lines;
-}
-
-TEST(FlightRecorder, RingWrapsAndDumpKeepsNewest) {
-  const std::string path = ::testing::TempDir() + "flight_wrap.jsonl";
-  obs::flight_recorder_enable(8, path);
-  for (int i = 0; i < 100; ++i) {
-    obs::flight_recorder_record(obs::FlightKind::kNote, "note", (std::uint64_t)i);
-  }
-  EXPECT_EQ(obs::flight_recorder_recorded(), 100u);
-  const std::size_t written = obs::flight_recorder_dump("test");
-  obs::flight_recorder_disable();
-  EXPECT_LE(written, 8u);
-  EXPECT_GT(written, 0u);
-  std::vector<std::string> lines = read_lines(path);
-  ASSERT_EQ(lines.size(), written + 1);  // events + the trailing dump line
-  // Oldest-first, newest retained: the last event line is sequence 99.
-  EXPECT_NE(lines[written - 1].find("\"v0\":99"), std::string::npos) << lines[written - 1];
-  EXPECT_NE(lines.back().find("\"type\":\"dump\""), std::string::npos);
-  EXPECT_NE(lines.back().find("\"reason\":\"test\""), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(FlightRecorder, LabelsAreSanitizedForJson) {
-  const std::string path = ::testing::TempDir() + "flight_sanitize.jsonl";
-  obs::flight_recorder_enable(8, path);
-  obs::flight_recorder_record(obs::FlightKind::kNote, "he said \"hi\"\\\n");
-  obs::flight_recorder_dump("test");
-  obs::flight_recorder_disable();
-  std::vector<std::string> lines = read_lines(path);
-  ASSERT_GE(lines.size(), 1u);
-  // Quote, backslash and newline were replaced at record time.
-  EXPECT_NE(lines[0].find("he said _hi__"), std::string::npos) << lines[0];
-  std::remove(path.c_str());
-}
-
-TEST(FlightRecorder, DisabledRecorderIsANoOp) {
-  obs::flight_recorder_disable();
-  EXPECT_FALSE(obs::flight_recorder_enabled());
-  obs::flight_recorder_record(obs::FlightKind::kNote, "ignored");
-  EXPECT_EQ(obs::flight_recorder_dump("test"), 0u);
-}
-
-TEST(FlightRecorder, BudgetBreachRecordsAnEvent) {
-  const std::string path = ::testing::TempDir() + "flight_budget.jsonl";
-  obs::flight_recorder_enable(16, path);
-  run::RunBudget b;
-  b.request_stop(run::StopReason::kDeadline);
-  obs::flight_recorder_dump("test");
-  obs::flight_recorder_disable();
-  std::vector<std::string> lines = read_lines(path);
-  bool saw_budget = false;
-  for (const std::string& l : lines) {
-    if (l.find("\"type\":\"budget\"") != std::string::npos &&
-        l.find("\"label\":\"deadline\"") != std::string::npos) {
-      saw_budget = true;
-    }
-  }
-  EXPECT_TRUE(saw_budget);
-  std::remove(path.c_str());
-}
-
-// --- The metrics server, over real sockets. ---
-
-std::string http_get(std::uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return {};
-  }
-  const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
-  (void)!::write(fd, req.data(), req.size());
-  std::string resp;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof buf)) > 0) resp.append(buf, (std::size_t)n);
-  ::close(fd);
-  return resp;
-}
-
-TEST(MetricsServer, ServesOpenMetricsAndProgress) {
-  obs::MetricsServer server(0);  // ephemeral port
-  ASSERT_TRUE(server.ok());
-  ASSERT_GT(server.port(), 0);
-
-  const std::string metrics = http_get(server.port(), "/metrics");
-  EXPECT_NE(metrics.find("HTTP/1.0 200"), std::string::npos);
-  EXPECT_NE(metrics.find("application/openmetrics-text"), std::string::npos);
-  EXPECT_NE(metrics.find("# EOF"), std::string::npos);
-
-  // Before any sample: a valid JSON body flagged have_sample=false.
-  const std::string before = http_get(server.port(), "/progress");
-  EXPECT_NE(before.find("\"have_sample\": false"), std::string::npos);
-
-  obs::ProgressSample s;
-  s.seq = 7;
-  s.states = 1234;
-  s.frontier = 56;
-  s.rss_bytes = 1 << 20;
-  server.set_progress(s);
-  const std::string after = http_get(server.port(), "/progress");
-  EXPECT_NE(after.find("\"have_sample\": true"), std::string::npos);
-  EXPECT_NE(after.find("\"states\": 1234"), std::string::npos);
-  EXPECT_NE(after.find("\"peak_rss_bytes\""), std::string::npos);
-
-  const std::string missing = http_get(server.port(), "/nope");
-  EXPECT_NE(missing.find("404"), std::string::npos);
-  server.stop();
-}
-
-TEST(MetricsServer, StopIsIdempotent) {
-  obs::MetricsServer server(0);
-  ASSERT_TRUE(server.ok());
-  server.stop();
-  server.stop();
-}
-
-// --- The run ledger. ---
-
-TEST(RunLedger, AppendsParseableLinesAndChainsHashes) {
-  const std::string path = ::testing::TempDir() + "ledger_test.jsonl";
-  std::remove(path.c_str());
-
-  const std::uint64_t h1 = run::fnv1a64("abc", 3);
-  const std::uint64_t h2 = run::fnv1a64("abc", 3);
-  EXPECT_EQ(h1, h2);
-  EXPECT_NE(run::fnv1a64("abd", 3), h1);
-  // Chaining folds files: hash("ab" then "c") == hash("abc").
-  EXPECT_EQ(run::fnv1a64("c", 1, run::fnv1a64("ab", 2)), h1);
-
-  run::RunRecord rec;
-  rec.command = "check";
-  rec.spec_hash = "00ff00ff00ff00ff";
-  rec.options = "check spec.tla --invariant \"x < 2\"";
-  rec.stop_reason = "deadline";
-  rec.exit_code = 3;
-  rec.states = 42;
-  rec.budget_stops = 1;
-  rec.elapsed_us = 1234;
-  rec.peak_rss_bytes = 1 << 20;
-  ASSERT_TRUE(run::append_run_ledger(path, rec));
-  ASSERT_TRUE(run::append_run_ledger(path, rec));
-
-  std::vector<std::string> lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 2u);
-  for (const std::string& l : lines) {
-    EXPECT_NE(l.find("\"schema\": \"opentla-run-ledger-v2\""), std::string::npos) << l;
-    EXPECT_NE(l.find("\"stop_reason\": \"deadline\""), std::string::npos) << l;
-    EXPECT_NE(l.find("\"exit_code\": 3"), std::string::npos) << l;
-    // The embedded quotes in options were escaped.
-    EXPECT_NE(l.find("\\\"x < 2\\\""), std::string::npos) << l;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(RunLedger, UnwritablePathReturnsFalse) {
-  run::RunRecord rec;
-  EXPECT_FALSE(run::append_run_ledger("/nonexistent_dir_zzz/ledger.jsonl", rec));
 }
 
 }  // namespace

@@ -164,13 +164,26 @@ TEST_F(ObsTest, JsonEscape) {
 TEST_F(ObsTest, RenderJsonGolden) {
   obs::Snapshot snap;
   snap.counters[static_cast<std::size_t>(obs::Counter::StatesGenerated)] = 2;
+  snap.counters[static_cast<std::size_t>(obs::Counter::SuccessorsEnumerated)] = 5;
   snap.gauges[static_cast<std::size_t>(obs::Gauge::PeakGraphStates)] = 7;
+  // One expansion that kept 4 edges: waste_ratio = 5 / 4.
+  obs::HistogramSnapshot& fanout =
+      snap.hists[static_cast<std::size_t>(obs::Histogram::SuccessorFanout)];
+  fanout.buckets[3] = 1;  // the value 4 lands in (2, 4]
+  fanout.sum = 4;
+  fanout.count = 1;
   snap.spans.push_back({"explore", 1, 0, 1, 100, 50});
 
   std::string zeros = "0";
   for (std::size_t i = 1; i < obs::kHistBuckets; ++i) zeros += ", 0";
   const std::string empty_hist =
       "{\"buckets\": [" + zeros + "], \"sum\": 0, \"count\": 0}";
+  std::string fanout_buckets;
+  for (std::size_t i = 0; i < obs::kHistBuckets; ++i) {
+    fanout_buckets += (i > 0 ? ", " : "") + std::string(i == 3 ? "1" : "0");
+  }
+  const std::string fanout_hist =
+      "{\"buckets\": [" + fanout_buckets + "], \"sum\": 4, \"count\": 1}";
   const std::string empty_mem_domain =
       "{\"live_bytes\": 0, \"peak_bytes\": 0, \"allocs\": 0, \"alloc_size\": " +
       empty_hist + "}";
@@ -179,7 +192,7 @@ TEST_F(ObsTest, RenderJsonGolden) {
       "{\n"
       "  \"counters\": {\n"
       "    \"states_generated\": 2,\n"
-      "    \"successors_enumerated\": 0,\n"
+      "    \"successors_enumerated\": 5,\n"
       "    \"enabled_evaluations\": 0,\n"
       "    \"configs_expanded\": 0,\n"
       "    \"scc_passes\": 0,\n"
@@ -219,11 +232,12 @@ TEST_F(ObsTest, RenderJsonGolden) {
       "    \"action_enabled\": {}\n"
       "  },\n"
       "  \"histograms\": {\n"
-      "    \"successor_fanout\": " + empty_hist + ",\n"
+      "    \"successor_fanout\": " + fanout_hist + ",\n"
       "    \"par_worker_expansions\": " + empty_hist + ",\n"
       "    \"shard_probe_length\": " + empty_hist + ",\n"
       "    \"lasso_walk_length\": " + empty_hist + "\n"
       "  },\n"
+      "  \"waste_ratio\": 1.25,\n"
       "  \"memory\": {\n"
       "    \"domains\": {\n"
       "      \"state_store\": " + empty_mem_domain + ",\n"
@@ -283,11 +297,15 @@ TEST_F(ObsTest, RenderHumanMentionsEveryCounter) {
   EXPECT_NE(table.find("explore"), std::string::npos);
 }
 
+// The bench export is render_json's members up to "memory" under the
+// schema and bench tags: one serializer, and no phase events or spans.
 TEST_F(ObsTest, WriteBenchJsonRoundTrips) {
   const std::filesystem::path prev = std::filesystem::current_path();
   std::filesystem::current_path(::testing::TempDir());
   obs::Snapshot snap;
   snap.counters[static_cast<std::size_t>(obs::Counter::StatesGenerated)] = 42;
+  snap.phases.push_back({"fig9:1", 10});
+  snap.spans.push_back({"explore", 1, 0, 1, 100, 50});
   const std::string path = obs::write_bench_json("unit_test", snap);
   std::filesystem::current_path(prev);
   ASSERT_EQ(path, "BENCH_unit_test.json");
@@ -297,17 +315,15 @@ TEST_F(ObsTest, WriteBenchJsonRoundTrips) {
   std::stringstream buf;
   buf << in.rdbuf();
   const std::string body = buf.str();
-  EXPECT_NE(body.find("\"schema\": \"opentla-bench-v3\""), std::string::npos);
-  EXPECT_NE(body.find("\"bench\": \"unit_test\""), std::string::npos);
+  const std::string json = obs::render_json(snap);
+  const std::size_t events = json.find(",\n  \"phases\": [");
+  ASSERT_NE(events, std::string::npos);
+  EXPECT_EQ(body, "{\n  \"schema\": \"opentla-bench-v4\",\n  \"bench\": \"unit_test\",\n" +
+                      json.substr(2, events - 2) + "\n}\n");
   EXPECT_NE(body.find("\"states_generated\": 42"), std::string::npos);
-  EXPECT_NE(body.find("\"peak_configuration_count\": 0"), std::string::npos);
-  EXPECT_NE(body.find("\"labeled\""), std::string::npos);
-  EXPECT_NE(body.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(body.find("\"successor_fanout\""), std::string::npos);
-  EXPECT_NE(body.find("\"memory\""), std::string::npos);
-  EXPECT_NE(body.find("\"state_store\""), std::string::npos);
-  EXPECT_NE(body.find("\"tracked_peak_bytes\""), std::string::npos);
-  EXPECT_NE(body.find("\"bytes_per_state\""), std::string::npos);
+  EXPECT_NE(body.find("\"waste_ratio\": 0,"), std::string::npos);
+  EXPECT_EQ(body.find("\"phases\""), std::string::npos);
+  EXPECT_EQ(body.find("\"spans\""), std::string::npos);
 }
 
 // The parallel engine's counters: a multi-threaded exploration reports its
@@ -532,26 +548,20 @@ TEST_F(ObsTest, HistogramBucketsArePowersOfTwo) {
   EXPECT_EQ(h.buckets[8], 1u);  // 100 in (64,128]
 }
 
-TEST_F(ObsTest, PhaseEventsRecordAndForwardToSink) {
+TEST_F(ObsTest, PhaseEventsAreRecordedInOrder) {
   if (!obs::compile_time_enabled()) {
     GTEST_SKIP() << "OPENTLA_OBS_PHASE compiled out (-DOPENTLA_OBS=OFF)";
   }
   obs::set_enabled(true);
-  std::vector<std::string> forwarded;
-  obs::set_phase_sink([&](const obs::PhaseEvent& e) { forwarded.push_back(e.phase); });
   obs::ScopedSink sink;
   OPENTLA_OBS_PHASE("fig9:1");
   OPENTLA_OBS_PHASE(std::string("fig9:2.") + "1");
-  obs::set_phase_sink(nullptr);
-  OPENTLA_OBS_PHASE("after_clear");
 
   const obs::Snapshot snap = sink.take();
-  ASSERT_EQ(snap.phases.size(), 3u);
+  ASSERT_EQ(snap.phases.size(), 2u);
   EXPECT_EQ(snap.phases[0].phase, "fig9:1");
   EXPECT_EQ(snap.phases[1].phase, "fig9:2.1");
   EXPECT_LE(snap.phases[0].ts_us, snap.phases[1].ts_us);
-  ASSERT_EQ(forwarded.size(), 2u);  // sink cleared before the third event
-  EXPECT_EQ(forwarded[1], "fig9:2.1");
 }
 
 TEST_F(ObsTest, ScopedSinkDeltasLabeledHistogramsAndPhases) {
@@ -668,6 +678,7 @@ TEST_F(ObsTest, RenderOpenMetricsExposition) {
   obs::count_labeled(obs::LabeledCounter::ActionFired, incr, 5);
   obs::hist_observe(obs::Histogram::SuccessorFanout, 0);
   obs::hist_observe(obs::Histogram::SuccessorFanout, 3);
+  obs::count(obs::Counter::SuccessorsEnumerated, 6);
   const std::string text = obs::render_openmetrics(obs::snapshot());
 
   EXPECT_NE(text.find("# TYPE opentla_states_generated counter\n"
@@ -687,49 +698,18 @@ TEST_F(ObsTest, RenderOpenMetricsExposition) {
             std::string::npos);
   EXPECT_NE(text.find("opentla_successor_fanout_sum 3\n"), std::string::npos);
   EXPECT_NE(text.find("opentla_successor_fanout_count 2\n"), std::string::npos);
+  // 6 candidates for the 3 kept edges.
+  EXPECT_NE(text.find("# TYPE opentla_waste_ratio gauge\nopentla_waste_ratio 2\n"),
+            std::string::npos);
   // The exposition terminates with the required EOF marker.
   EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
-}
-
-TEST_F(ObsTest, JsonlWriterAppendsOneEventPerLine) {
-  const std::filesystem::path path =
-      std::filesystem::path(::testing::TempDir()) / "obs_events_test.jsonl";
-  std::filesystem::remove(path);
-  {
-    obs::JsonlWriter w(path.string());
-    ASSERT_TRUE(w.ok());
-    w.write_phase({"check.invariant", 17});
-    obs::ProgressSample s;
-    s.seq = 1;
-    s.final_sample = true;
-    s.ts_us = 99;
-    s.states = 64;
-    s.frontier = 2;
-    s.states_per_sec = 1000.0;
-    s.rss_bytes = 4096;
-    s.tracked_bytes = 2048;
-    s.bytes_per_state = 32;
-    w.write_progress(s);
-  }
-  std::ifstream in(path);
-  std::string line1, line2, extra;
-  ASSERT_TRUE(std::getline(in, line1));
-  ASSERT_TRUE(std::getline(in, line2));
-  EXPECT_FALSE(std::getline(in, extra));
-  EXPECT_EQ(line1, "{\"type\":\"phase\",\"phase\":\"check.invariant\",\"ts_us\":17}");
-  EXPECT_EQ(line2,
-            "{\"type\":\"progress\",\"seq\":1,\"final\":true,\"ts_us\":99,"
-            "\"elapsed_us\":0,\"states\":64,\"frontier\":2,"
-            "\"states_per_sec\":1000.0,\"rss_bytes\":4096,"
-            "\"tracked_bytes\":2048,\"bytes_per_state\":32}");
-  std::filesystem::remove(path);
 }
 
 // --- obs v4: memory accounting ---
 
 // The statm parse is pure: resident *pages* times the page size, in bytes
 // — pinning the unit here keeps every RSS consumer (progress samples,
-// budget checks, ledger) in bytes, never pages.
+// budget checks, the peak_rss_bytes gauge) in bytes, never pages.
 TEST_F(ObsTest, StatmResidentBytesConvertsPagesToBytes) {
   EXPECT_EQ(obs::statm_resident_bytes("12345 678 90 1 0 2 0", 4096), 678u * 4096u);
   EXPECT_EQ(obs::statm_resident_bytes("12345 678", 16384), 678u * 16384u);
@@ -840,6 +820,15 @@ TEST_F(ObsTest, BytesPerStateDividesTrackedPeakByPeakStates) {
   obs::Snapshot empty;
   EXPECT_EQ(empty.bytes_per_state(), 0u);  // no states: no division
   tally.release();
+}
+
+TEST_F(ObsTest, WasteRatioDividesCandidatesByKeptEdges) {
+  obs::Snapshot snap;
+  EXPECT_EQ(snap.waste_ratio(), 0.0);  // no fanout recorded: no division
+  snap.counters[static_cast<std::size_t>(obs::Counter::SuccessorsEnumerated)] = 9;
+  EXPECT_EQ(snap.waste_ratio(), 0.0);
+  snap.hists[static_cast<std::size_t>(obs::Histogram::SuccessorFanout)].sum = 12;
+  EXPECT_DOUBLE_EQ(snap.waste_ratio(), 0.75);
 }
 
 TEST_F(ObsTest, OpenMetricsCarriesMemorySeries) {

@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
-# Append one benchmark run to the longitudinal history ledger.
+# Append one benchmark run to the longitudinal history file.
 #
 #   tools/bench_history.sh <BENCH_name.json> [history.jsonl]
 #     (default history file: <repo>/bench/history.jsonl)
 #
 # Each call appends one JSONL line {ts, bench, wall_time_s, counters,
 # gauges, tracked_peak_bytes, bytes_per_state} built from a bench
-# binary's BENCH_<name>.json counter export
+# binary's BENCH_<name>.json counter export (tools/bench_schema.json)
 # plus the adjacent <name>.gbench.json google-benchmark report when one
 # exists (wall_time_s = the summed real_time of its benchmarks; null
-# otherwise). The line is written with a single O_APPEND write — same
-# crash-safety contract as the run ledger.
+# otherwise). The line is written with a single O_APPEND write, so a
+# killed run tears at most its own line.
 #
 # It then compares wall_time_s and bytes_per_state against the PREVIOUS
 # entry for the same bench name and prints a warning to stderr when the

@@ -1,33 +1,27 @@
 #!/usr/bin/env bash
-# End-to-end check of the run-budget CLI contract (ISSUE: obs v3):
+# End-to-end check of the run-budget CLI contract:
 #
 #   1. a state-budget breach exits 3 with `stop_reason: "state_budget"`,
 #      and serial/parallel runs (threads 1, 2, 4) report the SAME state
 #      count at the same bound — the unified max_states semantics;
-#   2. a deadline breach on the fig9 composition exits 3, prints a partial
-#      obligation report with `stop_reason: "deadline"`, and (obs-on) the
-#      --flight-recorder dump is schema-valid against
-#      tools/flight_schema.json;
+#   2. a deadline breach on the fig9 composition exits 3 and prints a
+#      partial obligation report with `stop_reason: "deadline"`; a
+#      `refine` whose refinement check (not its graph build) the deadline
+#      stops exits 3 and never reports a refinement;
 #   3. a violation found before any breach still exits 1: counterexamples
-#      on partial graphs are real; a `refine` whose refinement check (not
-#      its graph build) the deadline stops exits 3 and never reports a
-#      refinement;
-#   4. (obs-on) SIGTERM during a recorded run ends in exit 3 with
-#      `stop_reason: "interrupted"` and a written dump;
-#   5. (obs-on) --run-ledger appends one line per run, schema-valid
-#      against tools/ledger_schema.json, with the breach's stop reason.
+#      on partial graphs are real;
+#   4. SIGTERM in the middle of a budgeted refine ends in a graceful stop:
+#      exit 3 with `stop_reason: "interrupted"` and no refinement claimed.
 #
-# Budget flags themselves (--deadline-ms/--rss-limit-mb/--max-states) must
-# work in OPENTLA_OBS=OFF builds; in --obs-off mode the recorder/ledger
-# probes are replaced by "rejected with exit 2" assertions.
+# Budget flags (--deadline-ms/--rss-limit-mb/--max-states) are a
+# correctness feature, so every case runs the same in OPENTLA_OBS=OFF
+# builds.
 #
-# Usage: tools/check_budget_cli.sh <tlacheck-binary> [--obs-off]
+# Usage: tools/check_budget_cli.sh <tlacheck-binary>
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-tlacheck="$(readlink -f "${1:?usage: check_budget_cli.sh <tlacheck-binary> [--obs-off]}")"
-obs_off=0
-[ "${2:-}" = "--obs-off" ] && obs_off=1
+tlacheck="$(readlink -f "${1:?usage: check_budget_cli.sh <tlacheck-binary>}")"
 specs="${repo_root}/specs"
 
 workdir="$(mktemp -d)"
@@ -83,12 +77,8 @@ echo "ok: JSON partial result carries stop_reason"
 
 # --- 2. Deadline breach on fig9: partial proof report, exit 3. ---
 
-flight_args=()
-if [ "$obs_off" -eq 0 ]; then
-  flight_args=(--flight-recorder --flight-out flight.jsonl)
-fi
 rc=0
-out="$("$tlacheck" "${fig9[@]}" --deadline-ms 1 "${flight_args[@]}" 2>stderr.txt)" || rc=$?
+out="$("$tlacheck" "${fig9[@]}" --deadline-ms 1 2>stderr.txt)" || rc=$?
 [ "$rc" -eq 3 ] || fail "fig9 --deadline-ms 1: expected exit 3, got $rc (stderr: $(cat stderr.txt))"
 grep -q 'stop_reason: "deadline"' <<<"$out" \
   || fail "fig9 deadline run lacks stop_reason deadline: $out"
@@ -97,36 +87,6 @@ grep -q 'NOT PROVED (run budget stopped the proof)' <<<"$out" \
 grep -q '\[?budget\]' <<<"$out" \
   || fail "fig9 deadline run marks no obligation inconclusive: $out"
 echo "ok: fig9 deadline breach yields a partial proof report with exit 3"
-
-if [ "$obs_off" -eq 0 ]; then
-  [ -s flight.jsonl ] || fail "deadline breach wrote no flight-recorder dump"
-  python3 - "$repo_root/tools/flight_schema.json" flight.jsonl <<'PY'
-import json, sys
-schema = json.load(open(sys.argv[1]))
-event_shape, dump_shape = schema["oneOf"]
-kinds = set(event_shape["properties"]["type"]["enum"])
-lines = [json.loads(l) for l in open(sys.argv[2]) if l.strip()]
-assert lines, "empty dump"
-assert lines[-1]["type"] == "dump", lines[-1]
-dump = lines[-1]
-for key in dump_shape["required"]:
-    assert key in dump, f"dump line missing {key}"
-assert dump["reason"] == "budget_stop", dump
-assert dump["written"] == len(lines) - 1, (dump, len(lines))
-seqs = []
-for ev in lines[:-1]:
-    for key in event_shape["required"]:
-        assert key in ev, f"event missing {key}: {ev}"
-    assert ev["type"] in kinds, ev
-    assert set(ev) <= set(event_shape["properties"]), ev
-    seqs.append(ev["seq"])
-assert seqs == sorted(seqs), "dump is not oldest-first"
-assert any(ev["type"] == "budget" and ev["label"] == "deadline" for ev in lines[:-1]), \
-    "no budget event with label deadline in the dump"
-print(f"flight.jsonl: ok ({len(lines) - 1} events)")
-PY
-  echo "ok: flight-recorder dump is schema-valid"
-fi
 
 # --- 2b. A refine stopped inside the refinement check is inconclusive. ---
 # The 1000-state low graph builds in milliseconds; each of the high
@@ -164,74 +124,22 @@ rc=0
 [ "$rc" -eq 1 ] || fail "violation under an unbreached budget: expected exit 1, got $rc"
 echo "ok: definite violations keep exit 1 under a budget"
 
-if [ "$obs_off" -eq 1 ]; then
-  # --- obs-off: live-obs flags rejected with exit 2, budgets still work. ---
-  for flag in "--flight-recorder" "--serve-metrics 0" "--run-ledger ledger.jsonl"; do
-    rc=0
-    # shellcheck disable=SC2086
-    "$tlacheck" states "$specs/counter.tla" $flag >/dev/null 2>err.txt || rc=$?
-    [ "$rc" -eq 2 ] || fail "obs-off: '$flag' expected exit 2, got $rc"
-    grep -q "OPENTLA_OBS=ON" err.txt || fail "obs-off: '$flag' error lacks the hint"
-  done
-  [ ! -e flight_recorder.jsonl ] || fail "obs-off run created flight_recorder.jsonl"
-  [ ! -e ledger.jsonl ] || fail "obs-off run created ledger.jsonl"
-  echo "ok: obs-off build rejects recorder/server/ledger flags with exit 2"
-  echo "check_budget_cli: PASS (obs-off)"
-  exit 0
-fi
+# --- 4. SIGTERM mid-check: graceful stop, stop_reason interrupted. ---
+# The refine of 2b runs for seconds. --deadline-ms 600000 arms the budget,
+# and with it the SIGINT/SIGTERM watch, without ever breaching it, so only
+# the signal can end this run early. A binary that leaves SIGTERM at its
+# default disposition is killed (exit 143) and fails here.
 
-# --- 4. SIGTERM: graceful stop, stop_reason interrupted, dump written. ---
-
-rm -f flight.jsonl
-"$tlacheck" "${fig9[@]}" --flight-recorder --flight-out flight.jsonl \
-  > sigterm_out.txt 2>/dev/null &
+"$tlacheck" refine ticker.tla slow_ticker.tla --deadline-ms 600000 > sigterm_out.txt &
 pid=$!
-# Race-tolerant: if the run finishes before the signal lands, fall back to
-# asserting the clean-completion exit instead.
-sleep 0.05
-kill -TERM "$pid" 2>/dev/null || true
+sleep 0.3
+kill -TERM "$pid" || fail "refine finished before SIGTERM was sent: $(cat sigterm_out.txt)"
 rc=0
 wait "$pid" || rc=$?
-if [ "$rc" -eq 3 ]; then
-  grep -q 'stop_reason: "interrupted"' sigterm_out.txt \
-    || fail "SIGTERM run exited 3 without stop_reason interrupted"
-  [ -s flight.jsonl ] || fail "SIGTERM run wrote no flight-recorder dump"
-  grep -q '"type":"dump"' flight.jsonl || fail "SIGTERM dump lacks the trailer"
-  echo "ok: SIGTERM ends in a graceful interrupted stop with a dump"
-elif [ "$rc" -eq 0 ]; then
-  echo "ok: SIGTERM race lost (run completed first); graceful path covered by exit-3 branch elsewhere"
-else
-  fail "SIGTERM run: expected exit 3 (or 0 on race), got $rc"
-fi
-
-# --- 5. The run ledger: one schema-valid line per run. ---
-
-rm -f ledger.jsonl
-rc=0
-"$tlacheck" states "$specs/peterson.tla" --max-states 10 --run-ledger ledger.jsonl \
-  >/dev/null || rc=$?
-[ "$rc" -eq 3 ] || fail "ledger run: expected exit 3, got $rc"
-rc=0
-"$tlacheck" states "$specs/peterson.tla" --run-ledger ledger.jsonl >/dev/null || rc=$?
-[ "$rc" -eq 0 ] || fail "second ledger run: expected exit 0, got $rc"
-python3 - "$repo_root/tools/ledger_schema.json" ledger.jsonl <<'PY'
-import json, re, sys
-schema = json.load(open(sys.argv[1]))
-lines = [json.loads(l) for l in open(sys.argv[2]) if l.strip()]
-assert len(lines) == 2, f"expected 2 ledger lines, got {len(lines)}"
-for rec in lines:
-    for key in schema["required"]:
-        assert key in rec, f"ledger line missing {key}: {rec}"
-    assert set(rec) <= set(schema["properties"]), rec
-    assert rec["schema"] == "opentla-run-ledger-v2", rec
-    assert re.fullmatch(r"[0-9a-f]{16}", rec["spec_hash"]), rec
-    assert rec["stop_reason"] in schema["properties"]["stop_reason"]["enum"], rec
-breached, clean = lines
-assert breached["stop_reason"] == "state_budget" and breached["exit_code"] == 3, breached
-assert clean["stop_reason"] == "completed" and clean["exit_code"] == 0, clean
-assert breached["spec_hash"] == clean["spec_hash"], "same spec must hash identically"
-print("ledger.jsonl: ok (2 lines)")
-PY
-echo "ok: run ledger lines are schema-valid and carry the stop reason"
+[ "$rc" -eq 3 ] || fail "SIGTERM mid-refine: expected exit 3, got $rc: $(cat sigterm_out.txt)"
+grep -q 'stop_reason: "interrupted"' sigterm_out.txt \
+  || fail "SIGTERM run lacks stop_reason interrupted: $(cat sigterm_out.txt)"
+grep -q ' refines ' sigterm_out.txt && fail "interrupted refine claimed a refinement"
+echo "ok: SIGTERM mid-refine ends in a graceful interrupted stop (exit 3)"
 
 echo "check_budget_cli: PASS"

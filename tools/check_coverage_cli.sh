@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end check of the `tlacheck coverage` subcommand and the live
-# observability flags (--progress / --events / --metrics-out):
+# observability flags (--progress / --metrics-out):
 #
 #   1. coverage on a generated spec with a never-enabled action exits 1
 #      and names the action (human and JSON formats);
 #   2. coverage on a fully-covered bundled spec exits 0;
 #   3. a live-obs run emits >=2 heartbeats to stderr, parseable JSON on
-#      stdout, a schema-valid JSONL event stream (tools/events_schema.json),
-#      and an OpenMetrics exposition terminated by `# EOF`;
+#      stdout, and an OpenMetrics exposition terminated by `# EOF`;
 #   4. in --obs-off mode (binary built with -DOPENTLA_OBS=OFF), coverage
 #      still works (it counts emissions directly, independent of the obs
 #      registry), but the live-obs flags are rejected with exit 2, a clear
@@ -21,7 +20,6 @@ tlacheck="${1:?usage: check_coverage_cli.sh <tlacheck-binary> [--obs-off]}"
 obs_off=0
 [ "${2:-}" = "--obs-off" ] && obs_off=1
 specs="${repo_root}/specs"
-events_schema="${repo_root}/tools/events_schema.json"
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
@@ -100,31 +98,27 @@ echo "ok: covered spec exits 0"
 # --- 4 (--obs-off). The OFF binary rejects live-obs flags cleanly. ---
 
 if [ "$obs_off" -eq 1 ]; then
-  off_events="$workdir/off_events.jsonl"
   off_metrics="$workdir/off_metrics.om"
   rc=0
-  "$tlacheck" coverage "$specs/counter.tla" --progress=50 \
-    --events "$off_events" --metrics-out "$off_metrics" \
+  "$tlacheck" coverage "$specs/counter.tla" --progress=50 --metrics-out "$off_metrics" \
     > /dev/null 2> "$workdir/off.stderr" || rc=$?
   [ "$rc" -eq 2 ] || fail "OFF build: live-obs flags expected exit 2, got $rc"
   grep -q "OPENTLA_OBS" "$workdir/off.stderr" \
     || fail "OFF build: rejection message does not mention OPENTLA_OBS"
-  [ ! -e "$off_events" ] || fail "OFF build: created $off_events despite rejecting the flags"
   [ ! -e "$off_metrics" ] || fail "OFF build: created $off_metrics despite rejecting the flags"
   echo "ok: OPENTLA_OBS=OFF binary rejects live-obs flags cleanly (exit 2, no files)"
   echo "check_coverage_cli: all checks passed (--obs-off mode)"
   exit 0
 fi
 
-# --- 3. Live-obs round trip: heartbeats + events JSONL + OpenMetrics. ---
+# --- 3. Live-obs round trip: heartbeats + OpenMetrics. ---
 
-events="$workdir/events.jsonl"
 metrics="$workdir/metrics.om"
 stderr_log="$workdir/progress.stderr"
 stdout_json="$workdir/coverage.json"
 
 "$tlacheck" coverage "$specs/ag_queue/qedbl.tla" --format json \
-  --progress=50 --events "$events" --metrics-out "$metrics" \
+  --progress=50 --metrics-out "$metrics" \
   > "$stdout_json" 2> "$stderr_log" \
   || fail "live-obs coverage run failed with $?"
 
@@ -134,51 +128,6 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$stdout_json" \
 beats="$(grep -c '^\[progress\]' "$stderr_log" || true)"
 [ "$beats" -ge 2 ] || fail "expected >=2 heartbeats on stderr, saw $beats"
 
-[ -s "$events" ] || fail "--events wrote no lines"
-python3 - "$events_schema" "$events" <<'PY'
-import json, sys
-
-schema = json.load(open(sys.argv[1]))
-shapes = {s["properties"]["type"]["const"]: s for s in schema["oneOf"]}
-
-def check_value(key, value, prop):
-    t = prop.get("type", prop.get("const") and "const")
-    if "const" in prop:
-        assert value == prop["const"], f"{key}: {value!r} != {prop['const']!r}"
-    elif t == "integer":
-        assert isinstance(value, int) and not isinstance(value, bool), key
-        assert value >= prop.get("minimum", value), key
-    elif t == "number":
-        assert isinstance(value, (int, float)) and not isinstance(value, bool), key
-        assert value >= prop.get("minimum", value), key
-    elif t == "boolean":
-        assert isinstance(value, bool), key
-    elif t == "string":
-        assert isinstance(value, str), key
-        assert len(value) >= prop.get("minLength", 0), key
-
-n_progress = n_final = 0
-seqs = []
-for lineno, line in enumerate(open(sys.argv[2]), 1):
-    event = json.loads(line)
-    shape = shapes.get(event.get("type"))
-    assert shape is not None, f"line {lineno}: unknown type {event.get('type')!r}"
-    for key in shape["required"]:
-        assert key in event, f"line {lineno}: missing '{key}'"
-    for key, value in event.items():
-        assert key in shape["properties"], f"line {lineno}: unexpected '{key}'"
-        check_value(f"line {lineno}: {key}", value, shape["properties"][key])
-    if event["type"] == "progress":
-        n_progress += 1
-        n_final += event["final"]
-        seqs.append(event["seq"])
-
-assert n_progress >= 2, f"expected >=2 progress events, saw {n_progress}"
-assert n_final == 1, f"expected exactly one final sample, saw {n_final}"
-assert seqs == sorted(seqs), f"progress seq not monotone: {seqs}"
-print(f"  {lineno} event lines validated ({n_progress} progress)")
-PY
-
 [ -s "$metrics" ] || fail "--metrics-out wrote no content"
 tail -n 1 "$metrics" | grep -qx '# EOF' || fail "OpenMetrics file lacks '# EOF' terminator"
 grep -q '^opentla_states_generated_total ' "$metrics" \
@@ -187,6 +136,8 @@ grep -q '^opentla_action_fired_total{action="IQEdbl"} ' "$metrics" \
   || fail "OpenMetrics file lacks the labeled action_fired sample for IQEdbl"
 grep -q '^opentla_successor_fanout_bucket{le="+Inf"} ' "$metrics" \
   || fail "OpenMetrics file lacks the fanout +Inf bucket"
-echo "ok: live-obs round trip (heartbeats, JSONL, OpenMetrics)"
+grep -q '^opentla_waste_ratio [0-9]' "$metrics" \
+  || fail "OpenMetrics file lacks opentla_waste_ratio"
+echo "ok: live-obs round trip (heartbeats, OpenMetrics)"
 
 echo "check_coverage_cli: all checks passed"

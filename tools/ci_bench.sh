@@ -43,7 +43,7 @@ need(isinstance(data.get("bench"), str) and data.get("bench"),
 def nonneg_int(v):
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
-for section in ("counters", "gauges"):
+for section in ("counters", "gauges", "levels"):
     block = data.get(section)
     need(isinstance(block, dict), f"'{section}' is not an object")
     if not isinstance(block, dict):
@@ -105,7 +105,12 @@ if isinstance(hists, dict):
             need(key in ("buckets", "sum", "count"),
                  f"histograms['{name}'] has unexpected key '{key}'")
 
-# memory: per-domain gauges + alloc-size histograms + tracked totals (v3).
+# waste_ratio: a derived, non-negative number.
+waste = data.get("waste_ratio")
+need(isinstance(waste, (int, float)) and not isinstance(waste, bool) and waste >= 0,
+     f"waste_ratio = {waste!r} is not a non-negative number")
+
+# memory: per-domain gauges + alloc-size histograms + tracked totals.
 mem_schema = schema["properties"]["memory"]
 mem = data.get("memory")
 need(isinstance(mem, dict), "'memory' is not an object")

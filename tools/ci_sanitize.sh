@@ -36,7 +36,7 @@ cmake --build "${tsan_dir}" -j"$(nproc)" \
   --target test_parallel_explore test_differential
 
 export TSAN_OPTIONS="halt_on_error=1"
-ctest --test-dir "${tsan_dir}" --output-on-failure \
+ctest --test-dir "${tsan_dir}" --output-on-failure -j"$(nproc)" \
   -R 'test_parallel_explore|test_differential'
 
 echo "--- OPENTLA_OBS=OFF: full suite without instrumentation (${obsoff_dir}) ---"

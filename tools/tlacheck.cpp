@@ -72,34 +72,19 @@
 //   --rss-limit-mb N    resident-set ceiling (polled during exploration)
 //   --max-states N      state budget (serial and parallel runs stop at the
 //                       same state count; no longer an error)
-// A SIGINT/SIGTERM during a budgeted run requests the same graceful stop
-// (stop_reason: "interrupted").
+// A SIGINT/SIGTERM during a run with --deadline-ms or --rss-limit-mb
+// requests the same graceful stop (stop_reason: "interrupted"); without a
+// budget flag the signal keeps its default, fatal disposition.
 //
 // Live observability (require a build with OPENTLA_OBS=ON; an
-// -DOPENTLA_OBS=OFF binary rejects them with exit 2 instead of emitting
-// empty files):
+// -DOPENTLA_OBS=OFF binary rejects them, and `--sample-hz`, with exit 2
+// instead of emitting empty files):
 //   --progress[=MS]     heartbeat lines on stderr every MS milliseconds
 //                       (default 250): elapsed time, states interned,
 //                       frontier size, states/sec, RSS. stdout is
 //                       untouched, so `--format json` stays parseable.
-//   --events FILE       append-only JSONL event stream (phase events +
-//                       progress samples; schema tools/events_schema.json)
 //   --metrics-out FILE  OpenMetrics/Prometheus text exposition of the
 //                       run's final counters/gauges/histograms
-//   --flight-recorder[=N]  bounded in-memory ring of the last N (default
-//                       4096) phase/progress/budget events, dumped as
-//                       JSONL (schema tools/flight_schema.json) on budget
-//                       breach, uncaught exception, or fatal signal
-//   --flight-out FILE   flight-recorder dump path (default
-//                       flight_recorder.jsonl)
-//   --serve-metrics PORT  embedded HTTP server on 127.0.0.1:PORT (0 =
-//                       ephemeral; the chosen port is printed to stderr):
-//                       GET /metrics (OpenMetrics), GET /progress (JSON)
-//   --serve-hold-ms MS  keep serving MS milliseconds after the verdict
-//                       (scrape window for tests/collectors)
-//   --run-ledger FILE   append one JSONL line per run: spec content hash,
-//                       options, stop reason, exit code, final counters
-//                       (schema tools/ledger_schema.json)
 //
 // Exit codes (uniform across subcommands; `profile` returns the wrapped
 // subcommand's code):
@@ -122,10 +107,10 @@
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "opentla/ag/composition_theorem.hpp"
@@ -138,14 +123,12 @@
 #include "opentla/graph/successor.hpp"
 #include "opentla/lint/checks.hpp"
 #include "opentla/obs/export.hpp"
-#include "opentla/obs/flight_recorder.hpp"
-#include "opentla/obs/metrics_server.hpp"
+#include "opentla/obs/memory.hpp"
 #include "opentla/obs/obs.hpp"
 #include "opentla/obs/profiler.hpp"
 #include "opentla/obs/progress.hpp"
 #include "opentla/parser/parser.hpp"
 #include "opentla/run/budget.hpp"
-#include "opentla/run/ledger.hpp"
 
 using namespace opentla;
 
@@ -173,18 +156,14 @@ int usage() {
          "         identical spill on or off; 0 = never, the default)\n"
          "         --format json (info|states|lint|coverage)   --stats (any subcommand)\n"
          "         --deadline-ms N   --rss-limit-mb N (run budgets: graceful stop,\n"
-         "         partial result with stop_reason, exit 3; work in every build)\n"
-         "         --progress[=MS] (heartbeats on stderr)   --events FILE (JSONL)\n"
+         "         also on SIGINT/SIGTERM, partial result with stop_reason, exit 3;\n"
+         "         work in every build)\n"
+         "         --progress[=MS] (heartbeats on stderr)\n"
          "         --metrics-out FILE (OpenMetrics)\n"
-         "         --flight-recorder[=N] (crash/budget event ring; dump is JSONL)\n"
-         "         --flight-out FILE (dump path, default flight_recorder.jsonl)\n"
-         "         --serve-metrics PORT (live /metrics + /progress on 127.0.0.1)\n"
-         "         --serve-hold-ms MS (keep serving after the verdict)\n"
-         "         --run-ledger FILE (append one JSONL line per run)\n"
          "         --sample-hz N (span-stack sampling profiler; `profile --format\n"
          "         folded` emits collapsed stacks for flamegraph.pl/speedscope)\n"
          "         --top N (profile: rows in the self-time table, default 10)\n"
-         "         (the live-observability flags need OPENTLA_OBS=ON)\n"
+         "         (--progress, --metrics-out and --sample-hz need OPENTLA_OBS=ON)\n"
          "exit codes (all subcommands; profile forwards the wrapped one's):\n"
          "  0  printed / property holds / lint clean\n"
          "  1  property violated (check, closure, deadlock, refine, leadsto,\n"
@@ -799,7 +778,6 @@ int cmd_analyze(const std::vector<std::string>& files, const std::string& format
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto run_start = std::chrono::steady_clock::now();
   std::vector<std::string> args(argv + 1, argv + argc);
   if (args.size() < 2) return usage();
   std::string cmd = args[0];
@@ -827,17 +805,11 @@ int main(int argc, char** argv) {
   std::string format = "human";
   std::string out_file;
   long progress_ms = -1;  // <0 = off
-  std::string events_file;
   std::string metrics_file;
   long deadline_ms = -1;   // <0 = off
   long rss_limit_mb = -1;  // <0 = off
-  long flight_cap = -1;    // <0 = off
   long sample_hz = -1;     // <0 = off
   long top_n = 10;
-  std::string flight_out = "flight_recorder.jsonl";
-  int serve_port = -1;  // <0 = off (0 = ephemeral)
-  long serve_hold_ms = 0;
-  std::string ledger_file;
   bool werror = false;
   bool want_independence = false;
   bool want_footprints = false;
@@ -889,8 +861,6 @@ int main(int argc, char** argv) {
     } else if (args[i].rfind("--progress=", 0) == 0) {
       progress_ms = std::stol(args[i].substr(std::string("--progress=").size()));
       if (progress_ms <= 0) return usage();
-    } else if (args[i] == "--events" && i + 1 < args.size()) {
-      events_file = args[++i];
     } else if (args[i] == "--metrics-out" && i + 1 < args.size()) {
       metrics_file = args[++i];
     } else if (args[i] == "--deadline-ms" && i + 1 < args.size()) {
@@ -899,27 +869,12 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--rss-limit-mb" && i + 1 < args.size()) {
       rss_limit_mb = std::stol(args[++i]);
       if (rss_limit_mb <= 0) return usage();
-    } else if (args[i] == "--flight-recorder") {
-      flight_cap = 4096;
-    } else if (args[i].rfind("--flight-recorder=", 0) == 0) {
-      flight_cap = std::stol(args[i].substr(std::string("--flight-recorder=").size()));
-      if (flight_cap <= 0) return usage();
     } else if (args[i] == "--sample-hz" && i + 1 < args.size()) {
       sample_hz = std::stol(args[++i]);
       if (sample_hz <= 0) return usage();
     } else if (args[i] == "--top" && i + 1 < args.size()) {
       top_n = std::stol(args[++i]);
       if (top_n <= 0) return usage();
-    } else if (args[i] == "--flight-out" && i + 1 < args.size()) {
-      flight_out = args[++i];
-    } else if (args[i] == "--serve-metrics" && i + 1 < args.size()) {
-      serve_port = std::stoi(args[++i]);
-      if (serve_port < 0 || serve_port > 65535) return usage();
-    } else if (args[i] == "--serve-hold-ms" && i + 1 < args.size()) {
-      serve_hold_ms = std::stol(args[++i]);
-      if (serve_hold_ms < 0) return usage();
-    } else if (args[i] == "--run-ledger" && i + 1 < args.size()) {
-      ledger_file = args[++i];
     } else if (args[i] == "--stats") {
       stats = true;
     } else if (args[i] == "--werror") {
@@ -957,21 +912,18 @@ int main(int argc, char** argv) {
     eopts.max_states = max_states;
     eopts.spill_at = spill_at;
 
-    // Run budget: armed by any limit flag. The flight recorder arms it too
-    // (signal watch only) so SIGINT/SIGTERM end in a dump plus a graceful
-    // partial result instead of the default fatal exit, and a ledger run
-    // gets a limit-free budget so max_states stops latch a reason the
-    // ledger can record. Budget flags work in OPENTLA_OBS=OFF builds —
-    // limits are a correctness feature, not an observability one.
-    const bool want_limits = deadline_ms >= 0 || rss_limit_mb >= 0 || flight_cap >= 0;
+    // Run budget: armed by --deadline-ms or --rss-limit-mb, which also
+    // turn SIGINT/SIGTERM into a graceful partial result. Budget flags work
+    // in OPENTLA_OBS=OFF builds — limits are a correctness feature, not an
+    // observability one.
     std::unique_ptr<run::RunBudget> budget;
-    if (want_limits || !ledger_file.empty()) {
+    if (deadline_ms >= 0 || rss_limit_mb >= 0) {
       run::BudgetLimits limits;
       if (deadline_ms >= 0) limits.deadline_ms = static_cast<std::uint64_t>(deadline_ms);
       if (rss_limit_mb >= 0) {
         limits.max_rss_bytes = static_cast<std::uint64_t>(rss_limit_mb) * 1024 * 1024;
       }
-      limits.watch_signals = want_limits;
+      limits.watch_signals = true;
       budget = std::make_unique<run::RunBudget>(limits);
       eopts.budget = budget.get();
     }
@@ -1015,78 +967,26 @@ int main(int argc, char** argv) {
     // Live observability flags need the instrumentation compiled in; an
     // OPENTLA_OBS=OFF binary would silently record nothing, so reject the
     // flags outright instead of emitting empty files.
-    const bool live_obs = progress_ms >= 0 || !events_file.empty() || !metrics_file.empty() ||
-                          flight_cap >= 0 || serve_port >= 0 || !ledger_file.empty() ||
-                          sample_hz >= 0;
+    const bool live_obs = progress_ms >= 0 || !metrics_file.empty() || sample_hz >= 0;
     if (live_obs && !obs::compile_time_enabled()) {
-      std::cerr << "error: --progress/--events/--metrics-out/--flight-recorder/"
-                   "--serve-metrics/--run-ledger/--sample-hz require a build with "
+      std::cerr << "error: --progress/--metrics-out/--sample-hz require a build with "
                    "OPENTLA_OBS=ON (this binary was configured with -DOPENTLA_OBS=OFF)\n";
       return 2;
     }
-
-    std::unique_ptr<obs::JsonlWriter> events;
-    if (!events_file.empty()) {
-      events = std::make_unique<obs::JsonlWriter>(events_file);
-      if (!events->ok()) {
-        std::cerr << "error: cannot write " << events_file << "\n";
-        return 2;
-      }
-      obs::set_phase_sink(
-          [ev = events.get()](const obs::PhaseEvent& p) { ev->write_phase(p); });
-    }
-    // Clears the phase sink before `events` is destroyed, including when
-    // dispatch throws.
-    struct PhaseSinkGuard {
-      bool active;
-      ~PhaseSinkGuard() {
-        if (active) obs::set_phase_sink(nullptr);
-      }
-    } sink_guard{events != nullptr};
-
     if (live_obs) obs::set_enabled(true);
 
-    if (flight_cap >= 0) {
-      obs::flight_recorder_enable(static_cast<std::size_t>(flight_cap), flight_out);
-    }
-
-    std::unique_ptr<obs::MetricsServer> server;
-    if (serve_port >= 0) {
-      server = std::make_unique<obs::MetricsServer>(static_cast<std::uint16_t>(serve_port));
-      if (!server->ok()) {
-        std::cerr << "error: cannot bind 127.0.0.1:" << serve_port << "\n";
-        return 2;
-      }
-      std::cerr << "[serve] http://127.0.0.1:" << server->port()
-                << " (/metrics, /progress)\n";
-    }
-
-    // The recorder and the /progress endpoint need heartbeats even when the
-    // user didn't ask for a console progress line: run a silent sampler.
-    std::unique_ptr<obs::ProgressSampler> sampler;
-    const bool verbose_progress = progress_ms >= 0;
-    if (verbose_progress || server != nullptr || flight_cap >= 0) {
-      const long period_ms = verbose_progress ? progress_ms : 100;
-      sampler = std::make_unique<obs::ProgressSampler>(
-          std::chrono::milliseconds(period_ms),
-          [ev = events.get(), srv = server.get(),
-           verbose_progress](const obs::ProgressSample& s) {
-            if (verbose_progress) {
-              std::fprintf(stderr,
-                           "[progress] t=%.2fs states=%llu frontier=%llu rate=%.0f/s "
-                           "rss=%.1fMB\n",
-                           static_cast<double>(s.elapsed_us) / 1e6,
-                           static_cast<unsigned long long>(s.states),
-                           static_cast<unsigned long long>(s.frontier), s.states_per_sec,
-                           static_cast<double>(s.rss_bytes) / (1024.0 * 1024.0));
-              std::fflush(stderr);
-            }
-            if (ev) ev->write_progress(s);
-            if (srv) srv->set_progress(s);
-            if (obs::flight_recorder_enabled()) {
-              obs::flight_recorder_record(obs::FlightKind::kProgress, "", s.states,
-                                          s.frontier, s.rss_bytes);
-            }
+    std::unique_ptr<obs::ProgressSampler> progress;
+    if (progress_ms >= 0) {
+      progress = std::make_unique<obs::ProgressSampler>(
+          std::chrono::milliseconds(progress_ms), [](const obs::ProgressSample& s) {
+            std::fprintf(stderr,
+                         "[progress] t=%.2fs states=%llu frontier=%llu rate=%.0f/s "
+                         "rss=%.1fMB\n",
+                         static_cast<double>(s.elapsed_us) / 1e6,
+                         static_cast<unsigned long long>(s.states),
+                         static_cast<unsigned long long>(s.frontier), s.states_per_sec,
+                         static_cast<double>(s.rss_bytes) / (1024.0 * 1024.0));
+            std::fflush(stderr);
           });
     }
 
@@ -1096,127 +996,65 @@ int main(int argc, char** argv) {
     // graph contract) is unaffected.
     std::unique_ptr<obs::SamplingProfiler> span_profiler;
     if (sample_hz > 0) {
-      obs::set_enabled(true);
       span_profiler =
           std::make_unique<obs::SamplingProfiler>(static_cast<double>(sample_hz));
     }
 
-    auto finish = [&](int rc) {
-      if (span_profiler) span_profiler->stop();
-      if (sampler) sampler->stop();
-      obs::gauge_max(obs::Gauge::PeakRssBytes, obs::read_rss_bytes());
-      if (budget != nullptr && budget->stopped()) {
-        // A budget-stopped run never exits 0: "success" on a partial graph
-        // is not a verdict. Definite failures (rc 1) keep their exit code.
-        if (rc == 0) rc = run::kBudgetExitCode;
-        if (obs::flight_recorder_enabled()) {
-          const std::size_t n = obs::flight_recorder_dump("budget_stop");
-          std::cerr << "[flight-recorder] wrote " << n << " events to " << flight_out
-                    << "\n";
-        }
-      }
-      if (!metrics_file.empty()) {
-        std::ofstream out(metrics_file);
-        out << obs::render_openmetrics(obs::snapshot());
-        if (!out) {
-          std::cerr << "error: cannot write " << metrics_file << "\n";
-          return 2;
-        }
-      }
-      if (server) {
-        if (serve_hold_ms > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(serve_hold_ms));
-        }
-        server->stop();
-      }
-      if (!ledger_file.empty()) {
-        run::RunRecord rec;
-        rec.command = cmd;
-        std::uint64_t h = run::fnv1a64(nullptr, 0);
-        auto fold = [&h](const std::string& path) {
-          try {
-            const std::string text = slurp(path);
-            h = run::fnv1a64(text.data(), text.size(), h);
-          } catch (const std::exception&) {
-            // Unreadable inputs already failed the run; the ledger still
-            // records the attempt.
-          }
-        };
-        for (const std::string& f : files) fold(f);
-        for (const auto& [env, guar] : component_files) fold(env), fold(guar);
-        for (const std::string& f : constraint_files) fold(f);
-        if (!goal_files.first.empty()) fold(goal_files.first), fold(goal_files.second);
-        char hex[17];
-        std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
-        rec.spec_hash = hex;
-        for (std::size_t i = 0; i < args.size(); ++i) {
-          if (i != 0) rec.options += ' ';
-          rec.options += args[i];
-        }
-        rec.stop_reason =
-            run::to_string(budget != nullptr ? budget->reason() : run::StopReason::kCompleted);
-        rec.exit_code = rc;
-        rec.states = obs::counter_value(obs::Counter::StatesGenerated);
-        rec.budget_stops = obs::counter_value(obs::Counter::BudgetStops);
-        rec.elapsed_us = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - run_start)
-                .count());
-        rec.peak_rss_bytes = obs::gauge_value(obs::Gauge::PeakRssBytes);
-        const obs::Snapshot mem_snap = obs::snapshot();
-        rec.tracked_peak_bytes = mem_snap.mem_tracked_peak_bytes;
-        rec.bytes_per_state = mem_snap.bytes_per_state();
-        if (!run::append_run_ledger(ledger_file, rec)) {
-          std::cerr << "warning: cannot append run ledger " << ledger_file << "\n";
-        }
-      }
-      return rc;
-    };
-
-    if (!profiling && !stats) return finish(dispatch());
-
-    obs::ScopedSink sink;
-    const int rc = dispatch();
-    // Sampling ends with the measured work (stop() is idempotent; finish()
-    // calls it again harmlessly) so folded counts are complete here.
+    std::optional<obs::ScopedSink> sink;
+    if (profiling || stats) sink.emplace();
+    int rc = dispatch();
+    // Sampling ends with the measured work, so folded counts are complete.
     if (span_profiler) span_profiler->stop();
-    obs::Snapshot snap = sink.take();
-    if (!profiling) {
-      std::cout << "--- stats ---\n" << obs::render_human(snap);
-      return finish(rc);
-    }
-    // Folded stacks come from the live sampler when one ran; when it did
-    // not (or the run was too short for any tick to land on an open span),
-    // they are derived from the completed spans so the flamegraph always
-    // renders.
-    const auto folded_text = [&] {
-      std::vector<obs::FoldedStack> stacks;
-      if (span_profiler) stacks = span_profiler->folded();
-      if (stacks.empty()) stacks = obs::folded_from_spans(snap);
-      return obs::render_folded(stacks);
-    };
-    const std::string rendered =
-        format == "trace"    ? obs::render_chrome_trace(snap)
-        : format == "json"   ? obs::render_json(snap)
-        : format == "folded" ? folded_text()
-                             : obs::render_human(snap) +
-                                   obs::render_profile_table(
-                                       obs::profile_rows(snap),
-                                       static_cast<std::size_t>(top_n));
-    if (out_file.empty()) {
-      std::cout << rendered;
-    } else {
-      std::ofstream out(out_file);
-      out << rendered;
-      if (!out) {
-        std::cerr << "error: cannot write " << out_file << "\n";
-        return finish(2);
+    // A budget-stopped run never exits 0: "success" on a partial graph is
+    // not a verdict. Definite failures (rc 1) keep their exit code.
+    if (rc == 0 && budget != nullptr && budget->stopped()) rc = run::kBudgetExitCode;
+
+    if (!profiling && stats) {
+      std::cout << "--- stats ---\n" << obs::render_human(sink->take());
+    } else if (profiling) {
+      const obs::Snapshot snap = sink->take();
+      // Folded stacks come from the live sampler when one ran; when it did
+      // not (or the run was too short for any tick to land on an open
+      // span), they are derived from the completed spans so the flamegraph
+      // always renders.
+      const auto folded_text = [&] {
+        std::vector<obs::FoldedStack> stacks;
+        if (span_profiler) stacks = span_profiler->folded();
+        if (stacks.empty()) stacks = obs::folded_from_spans(snap);
+        return obs::render_folded(stacks);
+      };
+      const std::string rendered =
+          format == "trace"    ? obs::render_chrome_trace(snap)
+          : format == "json"   ? obs::render_json(snap)
+          : format == "folded" ? folded_text()
+                               : obs::render_human(snap) +
+                                     obs::render_profile_table(
+                                         obs::profile_rows(snap),
+                                         static_cast<std::size_t>(top_n));
+      if (out_file.empty()) {
+        std::cout << rendered;
+      } else {
+        std::ofstream out(out_file);
+        out << rendered;
+        if (!out) {
+          std::cerr << "error: cannot write " << out_file << "\n";
+          rc = 2;
+        }
       }
     }
-    return finish(rc);
+    if (progress) progress->stop();
+    if (!metrics_file.empty()) {
+      obs::gauge_max(obs::Gauge::PeakRssBytes, obs::read_rss_bytes());
+      std::ofstream out(metrics_file);
+      out << obs::render_openmetrics(obs::snapshot());
+      if (!out) {
+        std::cerr << "error: cannot write " << metrics_file << "\n";
+        return 2;
+      }
+    }
+    return rc;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
-    if (obs::flight_recorder_enabled()) obs::flight_recorder_dump("exception");
     return 2;
   }
 }
