@@ -25,11 +25,6 @@ void merge_sorted(std::vector<VarId>& into, const std::vector<VarId>& from) {
   into = std::move(merged);
 }
 
-bool is_identity_frame(VarId v, const Expr& rhs) {
-  const ExprNode& r = rhs.node();
-  return r.kind == ExprKind::Var && r.var == v && !r.primed;
-}
-
 }  // namespace
 
 void Footprint::merge(const Footprint& other) {

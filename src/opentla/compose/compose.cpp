@@ -5,6 +5,7 @@
 
 #include "opentla/expr/analysis.hpp"
 #include "opentla/graph/conjunction.hpp"
+#include "opentla/obs/obs.hpp"
 #include "opentla/tla/disjoint.hpp"
 
 namespace opentla {
@@ -106,17 +107,26 @@ StateGraph build_composite_graph(const VarTable& vars, const std::vector<Composi
   const std::vector<State> init_states =
       ActionSuccessors::states_satisfying(vars, ex::land(std::move(inits)), pinned);
 
+  // Every mover part is held, so each generator conjoins a mover's N_k or
+  // holds its v_k UNCHANGED (graph/conjunction): [N_k]_{v_k} holds on every
+  // emitted step, and only the filter-only parts are checked.
+  std::vector<const CanonicalSpec*> filters;
+  for (const CompositePart& p : parts) {
+    if (!p.mover) filters.push_back(&p.spec);
+  }
+
   // Determinism contract (relied on by the parallel engine's canonical
   // renumbering): for a fixed state `s`, this lambda emits successors in
   // the generator's fixed order (graph/conjunction), filtered by every
-  // part. The lambda is safe to call concurrently on distinct states: all
-  // captures are read-only.
-  auto succ = [&vars, &parts, steps = ConjunctionSuccessors(vars, std::move(movers), pinned,
-                                                             disjoints)](
+  // filter-only part. The lambda is safe to call concurrently on distinct
+  // states: all captures are read-only.
+  auto succ = [&vars, filters = std::move(filters),
+               steps = ConjunctionSuccessors(vars, std::move(movers), pinned, disjoints)](
                   const State& s, const std::function<void(const State&)>& emit) {
     steps.for_each_successor(s, [&](const State& t) {
-      for (const CompositePart& p : parts) {
-        if (!p.spec.step_ok(vars, s, t)) return;
+      for (const CanonicalSpec* f : filters) {
+        OPENTLA_OBS_COUNT(CompositeFilterChecks);
+        if (!f->step_ok(vars, s, t)) return;
       }
       emit(t);
     });

@@ -15,9 +15,13 @@
 //     mover part is an action step of that part, so the steps come from
 //     the conjunction-aware generator of graph/conjunction (each set of
 //     movers' joint steps built once from their conjoined actions, a
-//     Disjoint part dropping the sets it forbids), filtered by every
-//     part's [N_j]_{v_j}. Hidden variables are explored explicitly (hiding
-//     on the left of an implication is free).
+//     Disjoint part dropping the sets it forbids). Every mover part is
+//     held, so each generator conjoins a mover's N_k or holds its v_k
+//     UNCHANGED, and [N_k]_{v_k} holds on every step it emits by
+//     construction: only the filter-only parts' [N_j]_{v_j} (a Disjoint,
+//     pins, an environment frame) are checked on each candidate. Hidden
+//     variables are explored explicitly (hiding on the left of an
+//     implication is free).
 
 #pragma once
 

@@ -34,6 +34,11 @@ FreeVars free_vars(const Expr& e) {
 
 bool is_state_function(const Expr& e) { return free_vars(e).primed.empty(); }
 
+bool is_identity_frame(VarId v, const Expr& rhs) {
+  const ExprNode& r = rhs.node();
+  return r.kind == ExprKind::Var && r.var == v && !r.primed;
+}
+
 namespace {
 void flatten(const Expr& e, ExprKind kind, std::vector<Expr>& out) {
   const ExprNode& n = e.node();

@@ -63,6 +63,9 @@ struct ActionDisjunct {
   std::vector<std::vector<VarId>> residual_needs;
 };
 
+/// True iff the assignment v' = rhs is the frame v' = v (UNCHANGED v).
+bool is_identity_frame(VarId v, const Expr& rhs);
+
 /// Decomposes `action` into executable disjuncts. Always succeeds; in the
 /// worst case a disjunct has no assignments and everything in `residual`.
 std::vector<ActionDisjunct> decompose_action(const Expr& action);

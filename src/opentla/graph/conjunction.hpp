@@ -27,6 +27,14 @@
 // A system with a single mover keeps that mover's action as its only
 // generator, so its emission order is the action's own.
 //
+// Invariant: every generator conjoins N_k or holds v_k UNCHANGED for each
+// held mover k. A set S conjoins N_k for k in S and holds the other held
+// subscripts, a no-held-change generator holds them all, and a lone
+// mover's generator is its own action. So, without sources, [N_k]_{v_k}
+// holds on every step emitted for every held mover k by construction:
+// build_composite_graph, whose mover parts are all held, checks only its
+// filter-only parts.
+//
 // A mover is *unheld* when no filter confines its subscript to its own
 // steps: a free move (UNCHANGED outside a tuple), or a part whose machine
 // is freeze-wrapped (automata/freeze admits one step that breaks the

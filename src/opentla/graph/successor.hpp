@@ -33,6 +33,24 @@
 // occur in a disjunct is unconstrained and is enumerated over its domain.
 // Successor generation therefore produces exactly the A-successors within
 // the declared finite space.
+//
+// Frames. An assignment v' = v (UNCHANGED v) is neither evaluated nor
+// copied: the base state already holds s[v]. Its only work is the test
+// that s[v] lies in v's domain, made at the frame's place in the
+// assignment order, so a state outside the declared space gets no
+// successor through the frame and no later right-hand side of that
+// disjunct is evaluated.
+//
+// Repeats. The completions of one distributed disjunct differ in the
+// variables they enumerate, so a successor can only repeat when two
+// disjuncts emit it. At construction two disjuncts are *exclusive* when
+// some variable is changed by every step of one (analysis::must_change)
+// and held by the other: framed v' = v, or pinned and neither assigned nor
+// enumerated there. When every pair is exclusive, no run keeps a set of
+// the successors it emitted; otherwise each full run hashes its
+// successors into one and drops the repeats. The proof ranges over the
+// declared domains, so it covers every state of the declared space, which
+// holds every state an exploration reaches.
 
 #pragma once
 
@@ -72,8 +90,14 @@ class ActionSuccessors {
   /// (interns the label) — call once at construction time.
   void set_label(const std::string& label);
 
-  /// Calls `fn` for every state t with action(s, t), without duplicates.
+  /// Calls `fn` for every state t with action(s, t), each once when s lies
+  /// in the declared space (see "Repeats" in the header).
   void for_each_successor(const State& s, const std::function<void(const State&)>& fn) const;
+
+  /// Whether full runs keep a set of emitted successors to drop repeats:
+  /// false when the action has one disjunct or every pair of its
+  /// disjuncts is exclusive. Decided at construction.
+  bool keeps_duplicate_set() const { return keeps_duplicate_set_; }
 
   /// Convenience: the successor list of s.
   std::vector<State> successors(const State& s) const;
@@ -108,6 +132,8 @@ class ActionSuccessors {
  private:
   struct CompiledDisjunct {
     ActionDisjunct parts;
+    /// Per assignment: whether it is a frame v' = v.
+    std::vector<bool> is_frame;
     std::vector<VarId> free_vars;  // all variables with no assignment
     /// Pruned-search schedules, precompiled once: `full_sched` orders
     /// free_vars (full successor generation), `existential_sched` orders
@@ -128,6 +154,7 @@ class ActionSuccessors {
   Expr action_;
   StateSpace space_;
   std::vector<CompiledDisjunct> disjuncts_;
+  bool keeps_duplicate_set_ = false;
   /// Obs attribution label (see set_label); 0 = unlabeled.
   std::uint32_t label_ = 0;
   bool has_label_ = false;

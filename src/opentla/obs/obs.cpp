@@ -41,6 +41,7 @@ const char* name(Counter c) {
     case Counter::VmInstrsExecuted: return "vm_instrs_executed";
     case Counter::FingerprintCollisions: return "fingerprint_collisions";
     case Counter::SpillSegments: return "spill_segments";
+    case Counter::CompositeFilterChecks: return "composite_filter_checks";
     case Counter::kCount: break;
   }
   return "?";

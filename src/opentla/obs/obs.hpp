@@ -60,6 +60,7 @@ enum class Counter : std::size_t {
   VmInstrsExecuted,        // reads 0 since the bytecode VM was removed (kept for its readers)
   FingerprintCollisions,   // distinct states sharing a 64-bit fingerprint (hard error)
   SpillSegments,           // arena segments spilled to mmap-backed temp files
+  CompositeFilterChecks,   // [N_j]_{v_j} checks of filter-only parts by build_composite_graph
   kCount
 };
 

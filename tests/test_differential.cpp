@@ -16,7 +16,10 @@
 // (behind ActionSuccessors::set_naive_enumeration_for_test), over random
 // actions rich in residual constraints. The two paths must produce
 // identical successor sequences — the same states in the same emission
-// order — and identical enabled() verdicts.
+// order — and identical enabled() verdicts. No successor may repeat from
+// any state, and per seed the duplicate-set analysis must keep its set for
+// some action, drop it for another of several disjuncts, and keep it once
+// where two disjuncts really share a successor (the nested axis too).
 //
 // An eighth axis pins the distribution of nested disjunctions in successor
 // generation: on random actions with a \/ inside a conjunct, and on <A>_v
@@ -29,7 +32,9 @@
 // A tenth axis pins the conjunction-aware step generator behind
 // build_composite_graph and ConstraintExplorer against generate-and-test's
 // semantics on random two- and three-part systems, with and without a
-// Disjoint, with a freeze-wrapped part and a hidden variable.
+// Disjoint, with a freeze-wrapped part and a hidden variable. Every edge a
+// composite build emits must satisfy each mover part's [N_k]_{v_k}: the
+// filter checks only the filter-only parts and relies on this.
 //
 // Every assertion carries the failing seed and case index so a failure is
 // reproducible in isolation.
@@ -37,6 +42,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -50,6 +56,7 @@
 #include "opentla/check/invariant.hpp"
 #include "opentla/check/orthogonality.hpp"
 #include "opentla/compose/compose.hpp"
+#include "opentla/expr/analysis.hpp"
 #include "opentla/expr/eval.hpp"
 #include "opentla/graph/successor.hpp"
 #include "opentla/semantics/enumerate.hpp"
@@ -65,6 +72,10 @@ namespace {
 
 constexpr unsigned kSeeds = 8;
 constexpr unsigned kCasesPerSeed = 250;  // 8 x 250 = 2000 systems
+/// Advance-or-hold actions (ActionGen::advance_or_hold_action) that the
+/// successor harnesses append to each seed's kCasesPerSeed random cases.
+/// They come last, so they leave the random cases' stream as it is.
+constexpr unsigned kAdvanceOrHoldCases = kCasesPerSeed / 5;
 
 /// Same tiny-universe generator idiom as test_properties's RandomSpecs:
 /// two binary variables, random guarded-assignment specs over them.
@@ -248,6 +259,58 @@ TEST_P(ProductSearchHarness, TargetAndOrthogonalityVerdictsMatchTheSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProductSearchHarness, ::testing::Range(0u, kSeeds));
 
+/// `states` as a sorted set.
+std::vector<State> as_set(std::vector<State> states) {
+  auto lt = [](const State& a, const State& b) { return a.values() < b.values(); };
+  std::sort(states.begin(), states.end(), lt);
+  states.erase(std::unique(states.begin(), states.end()), states.end());
+  return states;
+}
+
+/// Pins ActionSuccessors' duplicate set (keeps_duplicate_set): per seed, at
+/// least one action keeps it, at least one action of two or more disjuncts
+/// drops it, and at least one action that keeps it has two disjuncts that
+/// emit a common successor from some state, so a generator that never kept
+/// the set would repeat a successor there.
+class DuplicateSetTally {
+ public:
+  void record(const VarTable& vars, const Expr& act, const ActionSuccessors& succ) {
+    if (!succ.keeps_duplicate_set()) {
+      const std::optional<std::vector<ActionDisjunct>> ds = decompose_distributed(act);
+      dropped_ += ds && ds->size() > 1 ? 1 : 0;
+      return;
+    }
+    ++kept_;
+    // A common successor of two source disjuncts shows as more emissions,
+    // summed over the disjuncts, than distinct successors.
+    std::vector<ActionSuccessors> parts;
+    for (const Expr& d : flatten_or(act)) parts.emplace_back(vars, d);
+    bool common = false;
+    StateSpace(vars).for_each_state([&](const State& s) {
+      std::size_t emitted = 0;
+      for (const ActionSuccessors& p : parts) emitted += p.successors(s).size();
+      common = common || emitted > succ.successors(s).size();
+    });
+    needed_ += common ? 1 : 0;
+  }
+
+  void expect_nonvacuous() const {
+    EXPECT_GT(kept_, 0u) << "no action kept the duplicate set";
+    EXPECT_GT(dropped_, 0u) << "no action of two or more disjuncts dropped the set";
+    EXPECT_GT(needed_, 0u) << "no kept set was needed: no two disjuncts shared a successor";
+  }
+
+ private:
+  unsigned kept_ = 0, dropped_ = 0, needed_ = 0;
+};
+
+/// Asserts that `succ` holds no state twice.
+void expect_no_repeat(const std::vector<State>& succ, const VarTable& vars, const Expr& act,
+                      const State& s) {
+  ASSERT_EQ(as_set(succ).size(), succ.size())
+      << "repeated successor: action " << act.to_string(vars) << " at " << s.to_string(vars);
+}
+
 /// Random actions over a three-variable universe, biased toward residual
 /// constraints (primed-primed comparisons, negative constraints) so the
 /// pruned search tree actually has something to cut.
@@ -307,6 +370,38 @@ class ActionGen {
     std::vector<Expr> ds;
     for (int i = 0; i < disjuncts; ++i) ds.push_back(nested_disjunct(/*depth=*/2));
     return ex::lor(std::move(ds));
+  }
+
+  /// Two or three disjuncts that each advance (v' = (v + 1) % |dom|, a
+  /// change in every step) or hold (UNCHANGED v) some variables, beside an
+  /// optional random conjunct. Two of them are exclusive when one advances a
+  /// variable the other holds: the shape ActionSuccessors proves
+  /// repeat-free. `nested` puts the disjuncts under one \/ inside a
+  /// conjunction, which successor generation distributes.
+  Expr advance_or_hold_action(bool nested) {
+    const int disjuncts = 2 + pick(2);
+    std::vector<Expr> ds;
+    for (int i = 0; i < disjuncts; ++i) {
+      std::vector<Expr> cs;
+      for (VarId v : v_) {
+        switch (pick(3)) {
+          case 0: {
+            const auto size = static_cast<std::int64_t>(vars_.domain(v).size());
+            cs.push_back(ex::eq(ex::primed_var(v),
+                                ex::mod(ex::add(ex::var(v), ex::integer(1)), ex::integer(size))));
+            break;
+          }
+          case 1: cs.push_back(ex::unchanged({v})); break;
+          default: break;
+        }
+      }
+      if (pick(2) == 0) cs.push_back(conjunct());
+      ds.push_back(ex::land(std::move(cs)));
+    }
+    if (!nested) return ex::lor(std::move(ds));
+    std::vector<Expr> cs = {ex::lor(std::move(ds))};
+    if (pick(2) == 0) cs.insert(cs.begin() + pick(2), conjunct());
+    return ex::land(std::move(cs));
   }
 
   /// <A>_sub for an A of two or three disjuncts (action_changing): the step
@@ -402,10 +497,14 @@ TEST_P(PrunedVsNaiveHarness, IdenticalSuccessorsOrderAndEnabledVerdicts) {
   ActionGen gen(seed);
   StateSpace space(gen.vars());
 
-  for (unsigned c = 0; c < kCasesPerSeed; ++c) {
+  DuplicateSetTally tally;
+
+  for (unsigned c = 0; c < kCasesPerSeed + kAdvanceOrHoldCases; ++c) {
     SCOPED_TRACE("seed=" + std::to_string(seed) + " case=" + std::to_string(c));
-    const Expr act = gen.action();
+    const Expr act =
+        c < kCasesPerSeed ? gen.action() : gen.advance_or_hold_action(/*nested=*/false);
     ActionSuccessors succ(gen.vars(), act);
+    tally.record(gen.vars(), act, succ);
 
     space.for_each_state([&](const State& s) {
       ActionSuccessors::set_naive_enumeration_for_test(true);
@@ -422,6 +521,7 @@ TEST_P(PrunedVsNaiveHarness, IdenticalSuccessorsOrderAndEnabledVerdicts) {
       ASSERT_EQ(pruned_enabled, naive_enabled)
           << "action " << act.to_string(gen.vars()) << " at " << s.to_string(gen.vars());
       ASSERT_EQ(pruned_enabled, !pruned.empty());
+      expect_no_repeat(pruned, gen.vars(), act, s);
 
       // Spot-check against direct action evaluation on a prefix of the
       // space (the full cross-product on every case would dominate runtime).
@@ -439,7 +539,9 @@ TEST_P(PrunedVsNaiveHarness, IdenticalSuccessorsOrderAndEnabledVerdicts) {
         ASSERT_EQ(got, expected) << "action " << act.to_string(gen.vars());
       }
     });
+    if (HasFatalFailure()) return;
   }
+  tally.expect_nonvacuous();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrunedVsNaiveHarness, ::testing::Range(0u, kSeeds));
@@ -610,9 +712,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StoreVsMapHarness, ::testing::Range(0u, kSeeds))
 /// successor". Some branches are partial and only safe under left-to-right
 /// evaluation, so an exception here is a failure too. Returns the number
 /// of states with a successor.
-std::size_t expect_matches_brute_force(const VarTable& vars, const Expr& act) {
+std::size_t expect_matches_brute_force(const VarTable& vars, const Expr& act,
+                                       DuplicateSetTally* tally = nullptr) {
   const StateSpace space(vars);
   const ActionSuccessors succ(vars, act);
+  if (tally != nullptr) tally->record(vars, act, succ);
   std::size_t enabled_states = 0;
   auto lt = [&](const State& a, const State& b) { return a.to_string(vars) < b.to_string(vars); };
   space.for_each_state([&](const State& s) {
@@ -621,6 +725,7 @@ std::size_t expect_matches_brute_force(const VarTable& vars, const Expr& act) {
       if (eval_action(act, vars, s, t)) expected.push_back(t);
     });
     std::vector<State> got = succ.successors(s);
+    expect_no_repeat(got, vars, act, s);
     std::sort(expected.begin(), expected.end(), lt);
     std::sort(got.begin(), got.end(), lt);
     ASSERT_EQ(got, expected) << "action " << act.to_string(vars) << " at " << s.to_string(vars);
@@ -639,15 +744,19 @@ TEST_P(NestedDisjunctionHarness, DistributedSuccessorsMatchBruteForceAndTreeEnab
   const unsigned seed = GetParam();
   ActionGen gen(seed);
   unsigned live_cases = 0;
-  for (unsigned c = 0; c < kCasesPerSeed; ++c) {
+  DuplicateSetTally tally;
+  for (unsigned c = 0; c < kCasesPerSeed + kAdvanceOrHoldCases; ++c) {
     SCOPED_TRACE("seed=" + std::to_string(seed) + " case=" + std::to_string(c));
-    const std::size_t enabled_states = expect_matches_brute_force(
-        gen.vars(), c % 2 == 0 ? gen.nested_action() : gen.changing_action());
+    const Expr act = c >= kCasesPerSeed ? gen.advance_or_hold_action(/*nested=*/true)
+                     : c % 2 == 0       ? gen.nested_action()
+                                        : gen.changing_action();
+    const std::size_t enabled_states = expect_matches_brute_force(gen.vars(), act, &tally);
     if (HasFatalFailure()) return;
-    live_cases += enabled_states > 0 ? 1 : 0;
+    if (c < kCasesPerSeed) live_cases += enabled_states > 0 ? 1 : 0;
   }
   // Non-vacuity: most random actions fire from some state.
   EXPECT_GT(live_cases, kCasesPerSeed / 2);
+  tally.expect_nonvacuous();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NestedDisjunctionHarness, ::testing::Range(0u, kSeeds));
@@ -804,14 +913,6 @@ class SystemGen {
   std::mt19937 rng_;
 };
 
-/// `states` as a sorted set.
-std::vector<State> as_set(std::vector<State> states) {
-  auto lt = [](const State& a, const State& b) { return a.values() < b.values(); };
-  std::sort(states.begin(), states.end(), lt);
-  states.erase(std::unique(states.begin(), states.end()), states.end());
-  return states;
-}
-
 /// Printable keys of a state set, for readable failure diffs.
 std::vector<std::string> keys(const VarTable& vars, const std::vector<State>& states) {
   std::vector<std::string> out;
@@ -863,6 +964,16 @@ TEST_P(ConjunctionHarness, GeneratedStepsEqualGenerateAndTest) {
       const StateGraph g = build_composite_graph(vars, parts, free_tuples, {gen.h()});
       for (StateId id = 0; id < g.num_states(); ++id) {
         const State s = g.state(id);
+        // The filter checks only the filter-only parts: every emitted step
+        // must satisfy each mover part's [N_k]_{v_k} by construction.
+        for (StateId t : g.successors(id)) {
+          for (const CompositePart& p : parts) {
+            if (!p.mover) continue;
+            ASSERT_TRUE(p.spec.step_ok(vars, s, g.state(t)))
+                << "mover " << p.spec.name << " rejects " << s.to_string(vars) << " -> "
+                << g.state(t).to_string(vars);
+          }
+        }
         std::vector<State> expected;
         space.for_each_state([&](const State& t) {
           if (t == s) return;

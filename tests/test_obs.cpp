@@ -165,6 +165,7 @@ TEST_F(ObsTest, RenderJsonGolden) {
   obs::Snapshot snap;
   snap.counters[static_cast<std::size_t>(obs::Counter::StatesGenerated)] = 2;
   snap.counters[static_cast<std::size_t>(obs::Counter::SuccessorsEnumerated)] = 5;
+  snap.counters[static_cast<std::size_t>(obs::Counter::CompositeFilterChecks)] = 3;
   snap.gauges[static_cast<std::size_t>(obs::Gauge::PeakGraphStates)] = 7;
   // One expansion that kept 4 edges: waste_ratio = 5 / 4.
   obs::HistogramSnapshot& fanout =
@@ -215,7 +216,8 @@ TEST_F(ObsTest, RenderJsonGolden) {
       "    \"vm_programs_compiled\": 0,\n"
       "    \"vm_instrs_executed\": 0,\n"
       "    \"fingerprint_collisions\": 0,\n"
-      "    \"spill_segments\": 0\n"
+      "    \"spill_segments\": 0,\n"
+      "    \"composite_filter_checks\": 3\n"
       "  },\n"
       "  \"gauges\": {\n"
       "    \"peak_configuration_count\": 0,\n"
@@ -679,6 +681,7 @@ TEST_F(ObsTest, RenderOpenMetricsExposition) {
   obs::hist_observe(obs::Histogram::SuccessorFanout, 0);
   obs::hist_observe(obs::Histogram::SuccessorFanout, 3);
   obs::count(obs::Counter::SuccessorsEnumerated, 6);
+  obs::count(obs::Counter::CompositeFilterChecks, 4);
   const std::string text = obs::render_openmetrics(obs::snapshot());
 
   EXPECT_NE(text.find("# TYPE opentla_states_generated counter\n"
@@ -700,6 +703,9 @@ TEST_F(ObsTest, RenderOpenMetricsExposition) {
   EXPECT_NE(text.find("opentla_successor_fanout_count 2\n"), std::string::npos);
   // 6 candidates for the 3 kept edges.
   EXPECT_NE(text.find("# TYPE opentla_waste_ratio gauge\nopentla_waste_ratio 2\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE opentla_composite_filter_checks counter\n"
+                      "opentla_composite_filter_checks_total 4\n"),
             std::string::npos);
   // The exposition terminates with the required EOF marker.
   EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");

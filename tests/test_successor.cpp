@@ -167,7 +167,57 @@ TEST_F(SuccessorTest, ResidualConstraintsFilter) {
 TEST_F(SuccessorTest, DuplicateSuccessorsAcrossDisjunctsAreMerged) {
   Expr a = ex::land(ex::eq(ex::primed_var(x), ex::integer(1)), ex::unchanged({y}));
   ActionSuccessors gen(vars, ex::lor(a, a));
+  EXPECT_TRUE(gen.keeps_duplicate_set());
   EXPECT_EQ(gen.successors(st(0, 0)).size(), 1u);
+}
+
+TEST_F(SuccessorTest, ExclusiveDisjunctsDropTheDuplicateSet) {
+  // Every step of the first disjunct changes y (y = 0 /\ y' = 1), and the
+  // second holds y: no successor can repeat, so no set is kept.
+  const Expr bump = ex::land(ex::eq(ex::var(y), ex::integer(0)),
+                             ex::eq(ex::primed_var(y), ex::integer(1)));
+  const Expr move = ex::land(ex::eq(ex::primed_var(x), ex::integer(1)), ex::unchanged({y}));
+  EXPECT_FALSE(ActionSuccessors(vars, ex::lor(bump, move)).keeps_duplicate_set());
+  // A pinned y that the second disjunct leaves unmentioned is held too.
+  EXPECT_FALSE(ActionSuccessors(vars, ex::lor(bump, ex::eq(ex::primed_var(x), ex::integer(1))),
+                                {y})
+                   .keeps_duplicate_set());
+  // Unpinned, that disjunct ranges y' over its domain and meets bump's steps.
+  const ActionSuccessors unpinned(vars,
+                                 ex::lor(bump, ex::eq(ex::primed_var(x), ex::integer(1))));
+  EXPECT_TRUE(unpinned.keeps_duplicate_set());
+  // Four successors with y' = 1, three with x' = 1: (1, 1) is emitted once.
+  EXPECT_EQ(unpinned.successors(st(1, 0)).size(), 6u);
+  // One disjunct: nothing to compare.
+  EXPECT_FALSE(ActionSuccessors(vars, move).keeps_duplicate_set());
+}
+
+TEST_F(SuccessorTest, FrameOutsideTheDomainYieldsNoSuccessor) {
+  // y = 5 lies outside y's domain 0..2. A disjunct that frames y gets no
+  // successor there, tested at the frame's place: the later right-hand side
+  // <<0, 1, 2>>[y] is never evaluated (it is undefined at y = 5).
+  const State out = st(0, 5);
+  const Expr framed = ex::land(ex::eq(ex::primed_var(x), ex::integer(1)), ex::unchanged({y}));
+  const ActionSuccessors alone(vars, framed);
+  EXPECT_TRUE(alone.successors(out).empty());
+  EXPECT_FALSE(alone.enabled(out));
+  const Expr framed_first = ex::land(
+      ex::unchanged({y}),
+      ex::eq(ex::primed_var(x),
+             ex::index(ex::make_tuple({ex::integer(0), ex::integer(1), ex::integer(2)}),
+                       ex::var(y))));
+  const ActionSuccessors guarded(vars, framed_first);
+  EXPECT_TRUE(guarded.successors(out).empty());
+  EXPECT_FALSE(guarded.enabled(out));
+  // Beside a disjunct that sets y, and around a second framing one, only
+  // the setting disjunct's successor appears.
+  const Expr sets_y = ex::land(ex::eq(ex::primed_var(x), ex::integer(2)),
+                               ex::eq(ex::primed_var(y), ex::integer(0)));
+  const ActionSuccessors mixed(vars, ex::lor({framed, sets_y, framed_first}));
+  EXPECT_EQ(mixed.successors(out), (std::vector<State>{st(2, 0)}));
+  EXPECT_TRUE(mixed.enabled(out));
+  // Inside the domain the frames hold y as usual.
+  EXPECT_EQ(mixed.successors(st(0, 2)), (std::vector<State>{st(1, 2), st(2, 0)}));
 }
 
 TEST_F(SuccessorTest, MatchesBruteForceEnumeration) {

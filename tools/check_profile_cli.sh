@@ -4,7 +4,9 @@
 #   1. the human profile render carries the top-N span table (--top) with
 #      the self/total/count columns and the per-domain memory-accounting
 #      section (tracked_peak_bytes, bytes_per_state), and `profile compose`
-#      on specs/ag_queue prints a waste_ratio of at most 1;
+#      on specs/ag_queue prints a waste_ratio of at most 1; the counters
+#      table's composite_filter_checks row reads 0 for a plain `check` and
+#      more than 0 for that composition;
 #   2. --format folded emits the collapsed-stack format flamegraph.pl
 #      consumes ("name[;name...] <count>" per line, nothing else), both
 #      with a live sampler (--sample-hz) and from recorded spans alone;
@@ -78,6 +80,13 @@ grep -q "tracked_peak_bytes" <<<"$out" || fail "memory section lacks tracked_pea
 grep -q "bytes_per_state" <<<"$out" || fail "memory section lacks bytes_per_state"
 echo "ok: human render has the top-N span table and memory section"
 
+# The composite filter's [N_j]_{v_j} checks: their row of the counters table.
+filter_checks() {
+  sed -n 's/^    composite_filter_checks  *\([0-9]*\)$/\1/p' <<<"$1"
+}
+checks="$(filter_checks "$out")"
+[ "$checks" = "0" ] || fail "profile check on peterson.tla: composite_filter_checks '$checks', want 0"
+
 # The waste ratio (successors_enumerated over the successor_fanout sum) is
 # printed, so nobody divides the two by hand. On the ag_queue composition
 # with G every component's steps are generated alone: at most 1.
@@ -92,6 +101,10 @@ ratio="$(sed -n 's/^  waste_ratio \([0-9.]*\) (successors_enumerated [0-9]* \/ s
 python3 -c "import sys; sys.exit(0 if 0 < float('$ratio') <= 1.0 else 1)" \
   || fail "ag_queue compose waste_ratio $ratio is not in (0, 1]"
 echo "ok: profile compose prints waste_ratio $ratio"
+checks="$(filter_checks "$out")"
+[ -n "$checks" ] && [ "$checks" -gt 0 ] \
+  || fail "profile compose on ag_queue: composite_filter_checks '$checks', want > 0"
+echo "ok: composite_filter_checks reads 0 for check, $checks for compose"
 
 # --- 2. Folded format: flamegraph.pl's collapsed-stack contract. ---
 
