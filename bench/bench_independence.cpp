@@ -7,9 +7,11 @@
 // (the matrix is a precomputation for exploration-time reductions, so it
 // must be ~free by comparison).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <set>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "opentla/analysis/independence.hpp"
@@ -76,32 +78,46 @@ void artifact() {
   print_matrix(m);
 
   // The budget assertion: matrix cost < 1% of exploring the same product.
-  // Exploration is timed once (it dominates); the matrix is averaged over
-  // enough repetitions to measure reliably.
+  // Both sides get the same statistic, a median over kSamples samples taken
+  // alternately: a cold build, then a batch of kReps analyses averaged (one
+  // analysis is too short to time alone), so a noisy moment on a shared
+  // host moves one sample rather than the verdict.
   using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  StateGraph g = build_composite_graph(p.sys.vars, p.parts, {}, p.pin);
-  const auto t1 = clock::now();
-  const double explore_us =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count() / 1e3;
-
+  auto micros = [](clock::duration d) {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(d).count() / 1e3;
+  };
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  constexpr int kSamples = 5;
   constexpr int kReps = 200;
-  const auto t2 = clock::now();
-  std::size_t sink = 0;
-  for (int r = 0; r < kReps; ++r) {
-    std::vector<analysis::ActionUnit> us = composite_action_units(p.sys.vars, p.parts, {}, p.pin);
-    const analysis::IndependenceMatrix mm =
-        analysis::compute_independence(p.sys.vars, std::move(us));
-    sink += mm.independent_pairs();
-  }
-  const auto t3 = clock::now();
-  const double analysis_us =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t3 - t2).count() / 1e3 / kReps;
+  std::vector<double> explore_samples, analysis_samples;
+  std::size_t states = 0, edges = 0, sink = 0;
+  for (int i = 0; i < kSamples; ++i) {
+    const auto t0 = clock::now();
+    const StateGraph g = build_composite_graph(p.sys.vars, p.parts, {}, p.pin);
+    explore_samples.push_back(micros(clock::now() - t0));
+    states = g.num_states();
+    edges = g.num_edges();
 
-  std::printf("\nexploration: %.0f us (%zu states, %zu edges)\n", explore_us, g.num_states(),
-              g.num_edges());
-  std::printf("footprints + matrix: %.1f us (avg of %d; checksum %zu)\n", analysis_us, kReps,
-              sink);
+    const auto t1 = clock::now();
+    for (int r = 0; r < kReps; ++r) {
+      std::vector<analysis::ActionUnit> us =
+          composite_action_units(p.sys.vars, p.parts, {}, p.pin);
+      const analysis::IndependenceMatrix mm =
+          analysis::compute_independence(p.sys.vars, std::move(us));
+      sink += mm.independent_pairs();
+    }
+    analysis_samples.push_back(micros(clock::now() - t1) / kReps);
+  }
+  const double explore_us = median(explore_samples);
+  const double analysis_us = median(analysis_samples);
+
+  std::printf("\nexploration: %.0f us (median of %d builds; %zu states, %zu edges)\n",
+              explore_us, kSamples, states, edges);
+  std::printf("footprints + matrix: %.1f us (median of %d averages of %d; checksum %zu)\n",
+              analysis_us, kSamples, kReps, sink);
   std::printf("analysis / exploration = %.4f%%\n\n", 100.0 * analysis_us / explore_us);
   if (analysis_us >= 0.01 * explore_us) {
     std::fprintf(stderr,

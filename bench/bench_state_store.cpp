@@ -10,6 +10,8 @@
 //     sizeof(State) + 48 per state), which is what PR 9's MEMORY
 //     baselines charged;
 //   - intern throughput, fresh and duplicate, serial and sharded;
+//   - both slot encodings: the stores encode over table(), which indexes
+//     the bounded slots and escapes the unbounded counter;
 //   - the spill path: the same workload under a tight resident budget
 //     must keep every state addressable (spot-checked round-trips) while
 //     resident arena bytes stay near the budget.
@@ -33,12 +35,30 @@
 #include "opentla/obs/memory.hpp"
 #include "opentla/state/sharded_store.hpp"
 #include "opentla/state/state.hpp"
+#include "opentla/state/var_table.hpp"
 
 using namespace opentla;
 
 namespace {
 
 constexpr std::size_t kStates = 100'000;
+
+/// The variables of make_state's states. Every bounded slot has its domain
+/// declared, so the store writes it as one domain index; the counter's
+/// one-value domain only names the slot (the idiom of a product's
+/// configuration slot), so every counter value past 0 is escaped and
+/// written out in full.
+const VarTable& table() {
+  static const VarTable vars = [] {
+    VarTable v;
+    v.declare("n", Domain({Value::integer(0)}));
+    v.declare("k", range_domain(0, 6));
+    v.declare("q", tuple_domain({range_domain(0, 2), range_domain(0, 4)}));
+    v.declare("msg", Domain({Value::string("snd"), Value::string("ack")}));
+    return v;
+  }();
+  return vars;
+}
 
 /// Exploration-shaped synthetic state i: a couple of scalar "control"
 /// variables plus a short queue-like tuple — the same mix of kinds the
@@ -97,7 +117,7 @@ void large_run() {
   constexpr std::uint64_t kBudget = 256ull * 1024 * 1024;
   std::printf("=== FPSTORE scale: %zu states, spill budget %llu MiB ===\n\n", n,
               static_cast<unsigned long long>(kBudget >> 20));
-  StateStore store;
+  StateStore store(&table());
   store.set_spill_threshold(kBudget);
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < n; ++i) store.intern(make_state(i));
@@ -136,7 +156,7 @@ void artifact() {
   std::uint64_t fp_bytes = 0;
   double fp_intern_ms = 0;
   {
-    StateStore store;
+    StateStore store(&table());
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < kStates; ++i) store.intern(make_state(i));
     fp_intern_ms = ms_since(start);
@@ -169,7 +189,7 @@ void artifact() {
 
   // --- Spill: same workload under a 256 KiB resident budget. ---
   {
-    StateStore store;
+    StateStore store(&table());
     store.set_spill_threshold(256 * 1024);
     std::vector<StateId> ids;
     ids.reserve(kStates);
@@ -190,7 +210,7 @@ void artifact() {
 
 void BM_FingerprintInternFresh(benchmark::State& state) {
   for (auto _ : state) {
-    StateStore store;
+    StateStore store(&table());
     for (std::size_t i = 0; i < kStates; ++i) store.intern(make_state(i));
     benchmark::DoNotOptimize(store.size());
   }
@@ -208,7 +228,7 @@ BENCHMARK(BM_MapReferenceInternFresh)->Unit(benchmark::kMillisecond);
 
 void BM_FingerprintInternDuplicate(benchmark::State& state) {
   // The exploration hot path: most interns hit an already-seen state.
-  StateStore store;
+  StateStore store(&table());
   for (std::size_t i = 0; i < kStates; ++i) store.intern(make_state(i));
   for (auto _ : state) {
     for (std::size_t i = 0; i < kStates; ++i) {
@@ -220,7 +240,7 @@ BENCHMARK(BM_FingerprintInternDuplicate)->Unit(benchmark::kMillisecond);
 
 void BM_ShardedInternFresh(benchmark::State& state) {
   for (auto _ : state) {
-    ShardedStateSet set;
+    ShardedStateSet set(/*shard_count=*/0, /*spill_at=*/0, &table());
     for (std::size_t i = 0; i < kStates; ++i) set.intern(make_state(i));
     benchmark::DoNotOptimize(set.size());
   }
@@ -229,7 +249,7 @@ BENCHMARK(BM_ShardedInternFresh)->Unit(benchmark::kMillisecond);
 
 void BM_SpilledGet(benchmark::State& state) {
   // Decode cost when the canonical bytes live in mmap'd spill segments.
-  StateStore store;
+  StateStore store(&table());
   store.set_spill_threshold(64 * 1024);
   std::vector<StateId> ids;
   ids.reserve(kStates);

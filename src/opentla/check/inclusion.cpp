@@ -29,7 +29,8 @@ namespace {
 
 /// `vars` with extra state slots appended. Their values (machine
 /// configurations, state ids) are never enumerated; the one-value domain
-/// only names the slot.
+/// only names the slot, and the state store writes any other value there
+/// out in full (an escaped slot, fingerprint.hpp).
 VarTable with_slots(VarTable vars, std::initializer_list<const char*> names) {
   for (const char* name : names) vars.declare(name, Domain({Value::integer(0)}));
   return vars;

@@ -13,13 +13,13 @@ namespace opentla {
 
 StateGraph::StateGraph(const VarTable& vars, const std::vector<State>& init_states,
                        const SuccessorFn& succ, bool add_self_loops, std::size_t max_states)
-    : vars_(&vars) {
+    : vars_(&vars), store_(&vars) {
   explore_serial(init_states, succ, add_self_loops, max_states, nullptr);
 }
 
 StateGraph::StateGraph(const VarTable& vars, const std::vector<State>& init_states,
                        const SuccessorFn& succ, const ExploreOptions& opts)
-    : vars_(&vars) {
+    : vars_(&vars), store_(&vars) {
   unsigned threads = opts.threads;
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
@@ -30,7 +30,7 @@ StateGraph::StateGraph(const VarTable& vars, const std::vector<State>& init_stat
     explore_serial(init_states, succ, opts.add_self_loops, opts.max_states, opts.budget);
     return;
   }
-  par::ExploreResult r = par::explore(init_states, succ, opts, threads);
+  par::ExploreResult r = par::explore(vars, init_states, succ, opts, threads);
   store_ = std::move(r.store);
   init_ = std::move(r.init);
   adjacency_ = std::move(r.adjacency);

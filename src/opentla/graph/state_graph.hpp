@@ -55,6 +55,9 @@ class StateGraph {
  public:
   using SuccessorFn = std::function<void(const State&, const std::function<void(const State&)>&)>;
 
+  /// `vars` is not owned and must outlive the graph: the store encodes
+  /// every state over its domains (StateStore), and state() decodes them.
+  ///
   /// Explores from `init_states` using `succ`; `add_self_loops` materializes
   /// the stuttering step on every node. Reaching `max_states` stops
   /// exploration gracefully (see stop_reason()).

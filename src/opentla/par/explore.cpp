@@ -40,13 +40,13 @@ struct WorkQueue {
 
 }  // namespace
 
-ExploreResult explore(const std::vector<State>& init_states,
+ExploreResult explore(const VarTable& vars, const std::vector<State>& init_states,
                       const StateGraph::SuccessorFn& succ, const ExploreOptions& opts,
                       unsigned threads) {
   OPENTLA_OBS_SPAN("par.explore");
   OPENTLA_OBS_GAUGE_MAX(PeakParWorkers, threads);
 
-  ShardedStateSet seen(/*shard_count=*/0, opts.spill_at);
+  ShardedStateSet seen(/*shard_count=*/0, opts.spill_at, &vars);
   std::vector<WorkQueue> queues(threads);
   std::vector<std::vector<Expanded>> records(threads);
 
@@ -251,6 +251,7 @@ ExploreResult explore(const std::vector<State>& init_states,
   }
 
   ExploreResult res;
+  res.store = StateStore(&vars);
   res.store.set_spill_threshold(opts.spill_at);
   res.stop_reason = stop;
   const std::size_t kept = order.size();

@@ -5,7 +5,7 @@
 //
 //   Phase 1 (parallel): a pool of workers drains per-thread frontier
 //   deques (owners pop LIFO, idle workers steal FIFO from peers), interns
-//   discovered states in a ShardedStateSet (mutex-striped by State::hash),
+//   discovered states in a ShardedStateSet (mutex-striped by fingerprint),
 //   and records, per expanded state, the raw successor emission list in
 //   the order the successor provider produced it. Ids in this phase are
 //   provisional: dense, but scheduling-dependent.
@@ -47,8 +47,9 @@ struct ExploreResult {
 /// opts.budget, stops gracefully with the partial graph and a stop reason;
 /// the state count at a state-budget stop equals the serial engine's at
 /// the same bound. Rethrows the first exception a successor provider
-/// raises on any worker.
-ExploreResult explore(const std::vector<State>& init_states,
+/// raises on any worker. Both stores encode over `vars` (the StateGraph's
+/// table), which must outlive the result.
+ExploreResult explore(const VarTable& vars, const std::vector<State>& init_states,
                       const StateGraph::SuccessorFn& succ, const ExploreOptions& opts,
                       unsigned threads);
 

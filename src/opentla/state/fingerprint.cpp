@@ -1,11 +1,13 @@
 #include "opentla/state/fingerprint.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 
 #include "opentla/state/state.hpp"
+#include "opentla/state/var_table.hpp"
 #include "opentla/value/value.hpp"
 
 namespace opentla {
@@ -30,6 +32,21 @@ void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
   }
+}
+
+/// The slot words are written and read in place, as one u32 LE each,
+/// spelled out byte by byte: the compiler merges them into one store or
+/// load on a little-endian host.
+void store_u32(std::byte* p, std::uint32_t v) {
+  p[0] = static_cast<std::byte>(v);
+  p[1] = static_cast<std::byte>(v >> 8);
+  p[2] = static_cast<std::byte>(v >> 16);
+  p[3] = static_cast<std::byte>(v >> 24);
+}
+
+std::uint32_t load_u32(const std::byte* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
@@ -103,6 +120,9 @@ Value decode_value(Reader& r) {
     }
     case kTagTuple: {
       const std::uint32_t n = r.u32();
+      // Every element takes at least two bytes: a larger count is corrupt
+      // and must not reach reserve().
+      if (static_cast<std::size_t>(r.end - r.p) / 2 < n) Reader::corrupt();
       Value::Tuple t;
       t.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) t.push_back(decode_value(r));
@@ -115,17 +135,45 @@ Value decode_value(Reader& r) {
 
 }  // namespace
 
-void encode_state(const State& s, std::vector<std::byte>& out) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  for (const Value& v : s.values()) encode_value(v, out);
+void encode_state(const VarTable* vars, const State& s, std::vector<std::byte>& out) {
+  const std::size_t n = s.size();
+  const std::size_t indexed = vars == nullptr ? 0 : std::min(n, vars->size());
+  std::size_t at = out.size();
+  out.resize(at + 4 * (n + 1));
+  store_u32(out.data() + at, static_cast<std::uint32_t>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    at += 4;
+    const std::size_t pos =
+        i < indexed ? vars->domain(static_cast<VarId>(i)).find(s[i]) : Domain::npos;
+    if (pos < kEscapedSlot) {
+      store_u32(out.data() + at, static_cast<std::uint32_t>(pos));
+    } else {
+      // encode_value appends, so out.data() is re-read for the next slot.
+      store_u32(out.data() + at, kEscapedSlot);
+      encode_value(s[i], out);
+    }
+  }
 }
 
-State decode_state(const std::byte* data, std::size_t len) {
+State decode_state(const VarTable* vars, const std::byte* data, std::size_t len) {
   Reader r{data, data + len};
   const std::uint32_t n = r.u32();
+  if (static_cast<std::size_t>(r.end - r.p) / 4 < n) Reader::corrupt();  // truncated slots
+  const std::byte* slot = r.p;
+  r.p += std::size_t{4} * n;  // r now reads the escaped values
   std::vector<Value> values;
   values.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) values.push_back(decode_value(r));
+  for (std::uint32_t i = 0; i < n; ++i, slot += 4) {
+    const std::uint32_t pos = load_u32(slot);
+    if (pos == kEscapedSlot) {
+      values.push_back(decode_value(r));
+      continue;
+    }
+    if (vars == nullptr || i >= vars->size() || pos >= vars->domain(i).size()) {
+      Reader::corrupt();
+    }
+    values.push_back(vars->domain(i)[pos]);
+  }
   if (r.p != r.end) Reader::corrupt();
   return State(std::move(values));
 }
@@ -143,9 +191,9 @@ Fingerprint apply_fingerprint_mask(Fingerprint fp) {
   return fp & g_fp_mask.load(std::memory_order_relaxed);
 }
 
-Fingerprint state_fingerprint(const State& s) {
+Fingerprint state_fingerprint(const VarTable* vars, const State& s) {
   std::vector<std::byte> buf;
-  encode_state(s, buf);
+  encode_state(vars, s, buf);
   return apply_fingerprint_mask(fingerprint_bytes(buf.data(), buf.size()));
 }
 

@@ -7,6 +7,13 @@
 // runs, platforms, and standard libraries — a precondition for using them
 // as the seen-set key (and, eventually, for persisting them).
 //
+// Every variable ranges over a finite, indexed Domain (var_table.hpp), so
+// the encoding stores a state as one u32 per variable: the value's
+// position in that variable's domain. A value with no domain to index it
+// (a slot past the table, a null table, or a value its domain lacks, such
+// as a product's machine configuration) is escaped and written out in
+// full after the index block.
+//
 // The encoding is also what the arena-backed stores retain as the single
 // canonical copy of each state (state.hpp / sharded_store.hpp): a
 // fingerprint hit is *verified* against the stored bytes, so a genuine
@@ -23,31 +30,42 @@
 namespace opentla {
 
 class State;
+class VarTable;
 
 /// A 64-bit state fingerprint.
 using Fingerprint = std::uint64_t;
 
-/// Appends the canonical encoding of `s` to `out` (out is NOT cleared).
-/// The format is fixed little-endian and self-delimiting:
-///   state  := u32 value-count, then each value
+/// The slot word of an escaped value.
+inline constexpr std::uint32_t kEscapedSlot = UINT32_MAX;
+
+/// Appends the canonical encoding of `s` over `vars` to `out` (out is NOT
+/// cleared). The format is fixed little-endian and self-delimiting:
+///   state  := u32 slot-count n, then n u32 slot words, then the escaped
+///             values in slot order
+///   slot i := the position of s[i] in vars->domain(i), or kEscapedSlot
+///             when vars is null, i >= vars->size(), or the domain does not
+///             contain s[i]
 ///   value  := u8 kind tag, then
 ///             Bool: u8 0/1 | Int: 8 bytes LE | String: u32 len + bytes |
 ///             Tuple: u32 count + elements
-/// Two states encode to the same bytes iff they are equal (operator==).
-void encode_state(const State& s, std::vector<std::byte>& out);
+/// A value its domain contains is never escaped, so over one table (or
+/// none) two states encode to the same bytes iff they are equal
+/// (operator==). Bytes compare only between encodings over one table.
+void encode_state(const VarTable* vars, const State& s, std::vector<std::byte>& out);
 
-/// Decodes a state previously produced by encode_state. Throws
-/// std::runtime_error on malformed input (truncated or trailing bytes) —
-/// that would mean arena corruption, not a spec error.
-State decode_state(const std::byte* data, std::size_t len);
+/// Decodes a state previously produced by encode_state over the same
+/// `vars`. Throws std::runtime_error on malformed input (truncated or
+/// trailing bytes, an unknown tag, a slot word at or past its domain's
+/// size) — that would mean arena corruption, not a spec error.
+State decode_state(const VarTable* vars, const std::byte* data, std::size_t len);
 
 /// FNV-1a64 over a byte string (offset 14695981039346656037, prime
 /// 1099511628211). Platform-independent by construction.
 Fingerprint fingerprint_bytes(const std::byte* data, std::size_t len);
 
-/// Fingerprint of a state: fingerprint_bytes over its canonical encoding,
-/// truncated by the test hook below when one is installed.
-Fingerprint state_fingerprint(const State& s);
+/// Fingerprint of a state: fingerprint_bytes over its canonical encoding
+/// over `vars`, truncated by the test hook below when one is installed.
+Fingerprint state_fingerprint(const VarTable* vars, const State& s);
 
 /// Apply the test-hook truncation to a raw fingerprint (identity unless
 /// set_fingerprint_bits_for_test narrowed the space).

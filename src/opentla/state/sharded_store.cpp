@@ -38,7 +38,9 @@ void grow_shard_table(std::vector<Fingerprint>& fps, std::vector<StateId>& ids,
 }
 }  // namespace
 
-ShardedStateSet::ShardedStateSet(std::size_t shard_count, std::uint64_t spill_at) {
+ShardedStateSet::ShardedStateSet(std::size_t shard_count, std::uint64_t spill_at,
+                                 const VarTable* vars)
+    : vars_(vars) {
   spill_.set_threshold(spill_at);
   const std::size_t n = round_up_pow2(shard_count == 0 ? kDefaultShards : shard_count);
   shards_.reserve(n);
@@ -59,7 +61,7 @@ ShardedStateSet::InternResult ShardedStateSet::intern(const State& s) {
   // happen outside the shard lock, per inserting thread.
   thread_local std::vector<std::byte> scratch;
   scratch.clear();
-  encode_state(s, scratch);
+  encode_state(vars_, s, scratch);
   const Fingerprint fp =
       apply_fingerprint_mask(fingerprint_bytes(scratch.data(), scratch.size()));
   // The shard index skips the fingerprint's lowest bits: the table's probe

@@ -6,7 +6,9 @@
 // state's 64-bit fingerprint), each holding an open-addressed fingerprint
 // table plus an arena of canonical state encodings, so concurrent interns
 // from different worker threads contend only when they land on the same
-// stripe. Encoding and fingerprinting happen outside the lock. Like the
+// stripe. Encoding and fingerprinting happen outside the lock, so any
+// number of threads read the VarTable's domain indexes at once; those are
+// immutable once the table is built (domain.hpp). Like the
 // serial store, a fingerprint hit is verified against the shard's arena
 // copy and a genuine collision throws FingerprintCollision. Ids are
 // allocated from one atomic counter, which keeps them dense (0..size-1)
@@ -31,8 +33,10 @@ class ShardedStateSet {
   /// `shard_count` is rounded up to a power of two; 0 picks the default
   /// (64 stripes, plenty for any worker count this engine runs with).
   /// `spill_at` is the shared resident-byte budget for the shard arenas
-  /// (0 = never spill).
-  explicit ShardedStateSet(std::size_t shard_count = 0, std::uint64_t spill_at = 0);
+  /// (0 = never spill). `vars` is the table states are encoded over, as
+  /// for StateStore: nullable, not owned, and it must outlive the set.
+  explicit ShardedStateSet(std::size_t shard_count = 0, std::uint64_t spill_at = 0,
+                           const VarTable* vars = nullptr);
 
   struct InternResult {
     StateId id = 0;
@@ -81,6 +85,7 @@ class ShardedStateSet {
     obs::MemTally mem{obs::MemDomain::StateStore};
   };
 
+  const VarTable* vars_;
   /// Declared before shards_: each shard arena unregisters its resident
   /// bytes from this group on destruction, so the group must outlive them.
   SpillGroup spill_;

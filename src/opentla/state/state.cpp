@@ -35,8 +35,9 @@ namespace {
 constexpr std::size_t kInitialTableSlots = 1024;  // power of two
 }  // namespace
 
-StateStore::StateStore()
-    : fps_(kInitialTableSlots, 0),
+StateStore::StateStore(const VarTable* vars)
+    : vars_(vars),
+      fps_(kInitialTableSlots, 0),
       slot_ids_(kInitialTableSlots, kNone),
       table_mask_(kInitialTableSlots - 1),
       spill_(std::make_unique<SpillGroup>()),
@@ -49,6 +50,7 @@ StateStore& StateStore::operator=(StateStore&& other) noexcept {
     // The old arena unregisters its resident bytes from the old spill
     // group on destruction, so it must go before spill_ is replaced.
     arena_.reset();
+    vars_ = other.vars_;
     fps_ = std::move(other.fps_);
     slot_ids_ = std::move(other.slot_ids_);
     table_mask_ = other.table_mask_;
@@ -87,7 +89,7 @@ StateId StateStore::intern(const State& s) {
   // stays valid.
   if ((refs_.size() + 1) * 10 >= (table_mask_ + 1) * 7) grow_table();
   scratch_.clear();
-  encode_state(s, scratch_);
+  encode_state(vars_, s, scratch_);
   const Fingerprint fp =
       apply_fingerprint_mask(fingerprint_bytes(scratch_.data(), scratch_.size()));
   std::size_t idx = fp & table_mask_;
@@ -121,7 +123,7 @@ StateId StateStore::intern(const State& s) {
 
 StateId StateStore::find(const State& s) const {
   scratch_.clear();
-  encode_state(s, scratch_);
+  encode_state(vars_, s, scratch_);
   const Fingerprint fp =
       apply_fingerprint_mask(fingerprint_bytes(scratch_.data(), scratch_.size()));
   std::size_t idx = fp & table_mask_;
@@ -143,7 +145,7 @@ StateId StateStore::find(const State& s) const {
 
 State StateStore::get(StateId id) const {
   const auto [bytes, len] = arena_->read(refs_.at(id));
-  return decode_state(bytes, len);
+  return decode_state(vars_, bytes, len);
 }
 
 std::pair<const std::byte*, std::size_t> StateStore::encoded(StateId id) const {

@@ -6,10 +6,11 @@
 // fingerprinting `StateStore`: the seen-set key is a 64-bit fingerprint of
 // the state's canonical encoding (fingerprint.hpp) held in an
 // open-addressed table, and the encoding itself — the store's single copy
-// of the state — lives in an append-only arena (arena.hpp) that can spill
-// to mmap-backed segments under a --spill-at byte budget. A fingerprint
-// hit is verified against the arena bytes; a genuine 64-bit collision is
-// a hard FingerprintCollision error, never a silent merge.
+// of the state, one u32 domain index per variable of the store's VarTable
+// — lives in an append-only arena (arena.hpp) that can spill to
+// mmap-backed segments under a --spill-at byte budget. A fingerprint hit
+// is verified against the arena bytes; a genuine 64-bit collision is a
+// hard FingerprintCollision error, never a silent merge.
 
 #pragma once
 
@@ -71,7 +72,12 @@ using StateId = std::uint32_t;
 /// Single-threaded; the concurrent counterpart is ShardedStateSet.
 class StateStore {
  public:
-  StateStore();
+  /// Encodes every state over `vars` (see encode_state): each value its
+  /// variable's domain contains is stored as its index there, anything
+  /// else is escaped. Null escapes every slot. Not owned: the table must
+  /// outlive the store, since intern, find and get all read its domains
+  /// (StateGraph requires the same of its own table and passes it here).
+  explicit StateStore(const VarTable* vars = nullptr);
   ~StateStore();
   StateStore(StateStore&&) noexcept = default;
   /// Not defaulted: member order would destroy the old spill group before
@@ -106,6 +112,7 @@ class StateStore {
  private:
   void grow_table();
 
+  const VarTable* vars_ = nullptr;
   /// Open-addressed fingerprint table (linear probing). Parallel arrays;
   /// slot_ids_[i] == kNone marks an empty slot. Fingerprints in the table
   /// are unique by construction — a second distinct state with the same

@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,28 +17,41 @@
 namespace opentla {
 
 /// A finite set of values, kept sorted and deduplicated so that domains
-/// compare structurally and membership is O(log n).
+/// compare structurally. Construction also builds an open-addressed index
+/// over the sorted values, so membership and position are one expected-
+/// O(1) probe (find). The index is immutable after construction: any
+/// number of threads may look values up concurrently.
 class Domain {
  public:
+  /// find()'s answer for a value outside the domain.
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
   Domain() = default;
   explicit Domain(std::vector<Value> values);
 
   const std::vector<Value>& values() const { return values_; }
   std::size_t size() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
-  bool contains(const Value& v) const;
+  /// Position of `v` within the sorted domain, or npos if absent.
+  std::size_t find(const Value& v) const;
+  bool contains(const Value& v) const { return find(v) != npos; }
 
   /// Index of `v` within the sorted domain; throws if absent.
   std::size_t index_of(const Value& v) const;
 
   const Value& operator[](std::size_t i) const { return values_[i]; }
 
-  friend bool operator==(const Domain& a, const Domain& b) = default;
+  /// Equal value sets; the index is derived from the values.
+  friend bool operator==(const Domain& a, const Domain& b) { return a.values_ == b.values_; }
 
   std::string to_string() const;
 
  private:
   std::vector<Value> values_;
+  /// Hash slots (a power of two, at least twice size()) holding positions
+  /// into values_; UINT32_MAX marks a free slot. Empty for an empty domain.
+  std::vector<std::uint32_t> slots_;
+  unsigned shift_ = 64;  // 64 - log2(slots_.size()): the top bits pick a slot
 };
 
 /// {FALSE, TRUE}.

@@ -62,6 +62,7 @@
 #include "opentla/semantics/enumerate.hpp"
 #include "opentla/semantics/oracle.hpp"
 #include "opentla/state/arena.hpp"
+#include "opentla/state/fingerprint.hpp"
 #include "opentla/state/sharded_store.hpp"
 #include "opentla/state/state.hpp"
 #include "opentla/tla/disjoint.hpp"
@@ -613,7 +614,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PairIndependenceHarness, ::testing::Range(0u, kS
 /// (rich in duplicates and look-alike values) are interned into a
 /// StateStore, a ShardedStateSet, and a std::unordered_map keyed by the
 /// full state — ids, novelty verdicts, lookups, and round-trips must
-/// match exactly, with the arena resident or spilled to disk.
+/// match exactly, with the arena resident or spilled to disk, and with
+/// the stores encoding over no table or over store_table(), whose domains
+/// hold only some of the generated values (indexed and escaped slots mix).
 class RandomStateGen {
  public:
   explicit RandomStateGen(unsigned seed) : rng_(seed) {}
@@ -650,25 +653,42 @@ class RandomStateGen {
   std::mt19937 rng_;
 };
 
+/// Two variables whose domains each hold part of RandomStateGen's values;
+/// a state's third slot lies past the table and always escapes.
+VarTable store_table() {
+  VarTable vars;
+  vars.declare("a", Domain({Value::boolean(false), Value::boolean(true), Value::integer(-2),
+                            Value::integer(-1), Value::integer(0), Value::string(""),
+                            Value::string("a")}));
+  vars.declare("b", Domain({Value::integer(0), Value::integer(1), Value::integer(2),
+                            Value::empty_seq(), Value::tuple({Value::integer(0)}),
+                            Value::tuple({Value::string("a")}), Value::string("ab"),
+                            Value::boolean(true)}));
+  return vars;
+}
+
 class StoreVsMapHarness : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(StoreVsMapHarness, InternVerdictsIdsAndRoundTripsMatchMapReference) {
   const unsigned seed = GetParam();
   RandomStateGen gen(seed ^ 0x51ed270bu);
+  const VarTable vars = store_table();
 
   for (int round = 0; round < 8; ++round) {
     const bool spill = (round % 2) == 1;
+    // Rounds 0 and 1 escape every slot; the rest index what they can.
+    const VarTable* table = round < 2 ? nullptr : &vars;
     SCOPED_TRACE("seed=" + std::to_string(seed) + " round=" + std::to_string(round) +
-                 (spill ? " (spill)" : " (resident)"));
+                 (spill ? " (spill)" : " (resident)") + (table ? " (table)" : " (no table)"));
     // Odd rounds force the disk path: 128-byte segments, 1-byte budget.
     struct SegmentGuard {
       explicit SegmentGuard(std::size_t b) { set_arena_segment_bytes_for_test(b); }
       ~SegmentGuard() { set_arena_segment_bytes_for_test(0); }
     } guard(spill ? 128 : 0);
 
-    StateStore store;
+    StateStore store(table);
     if (spill) store.set_spill_threshold(1);
-    ShardedStateSet sharded(/*shard_count=*/4, /*spill_at=*/spill ? 1 : 0);
+    ShardedStateSet sharded(/*shard_count=*/4, /*spill_at=*/spill ? 1 : 0, table);
     std::unordered_map<State, StateId, StateHash> ref;
 
     for (int i = 0; i < 400; ++i) {
@@ -693,6 +713,29 @@ TEST_P(StoreVsMapHarness, InternVerdictsIdsAndRoundTripsMatchMapReference) {
     const State absent({Value::string("never-interned-sentinel")});
     ASSERT_EQ(ref.find(absent), ref.end());
     ASSERT_EQ(store.find(absent), StateStore::kNone);
+    if (table != nullptr) {
+      // Both kinds of slot occur, and the decoder refuses a slot word that
+      // names no value of its domain instead of reading past it.
+      std::size_t indexed = 0, escaped = 0;
+      for (const auto& [s, id] : ref) {
+        const auto [data, len] = store.encoded(id);
+        for (std::size_t i = 0; i < s.size(); ++i) {
+          const bool in_domain =
+              i < table->size() && table->domain(static_cast<VarId>(i)).contains(s[i]);
+          (in_domain ? indexed : escaped) += 1;
+          if (!in_domain) continue;
+          std::vector<std::byte> bytes(data, data + len);
+          const std::size_t size = table->domain(static_cast<VarId>(i)).size();
+          for (int k = 0; k < 4; ++k) {
+            bytes[4 + 4 * i + k] = static_cast<std::byte>(size >> (8 * k));
+          }
+          ASSERT_THROW(decode_state(table, bytes.data(), bytes.size()), std::runtime_error)
+              << "id " << id << " slot " << i;
+        }
+      }
+      EXPECT_GT(indexed, 0u);
+      EXPECT_GT(escaped, 0u);
+    }
     if (spill) {
       EXPECT_GT(store.arena().spilled_segments(), 0u);
     } else {

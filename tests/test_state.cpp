@@ -98,14 +98,14 @@ TEST(Fingerprint, EncodeDecodeRoundTripsEveryValueKind) {
                  Value::tuple({Value::integer(1),
                                Value::tuple({Value::string("x"), Value::boolean(false)})})});
   std::vector<std::byte> bytes;
-  encode_state(s, bytes);
-  EXPECT_EQ(decode_state(bytes.data(), bytes.size()), s);
+  encode_state(nullptr, s, bytes);
+  EXPECT_EQ(decode_state(nullptr, bytes.data(), bytes.size()), s);
 
   const State empty(std::vector<Value>{});
   std::vector<std::byte> ebytes;
-  encode_state(empty, ebytes);
-  EXPECT_EQ(ebytes.size(), 4u);  // just the u32 value count
-  EXPECT_EQ(decode_state(ebytes.data(), ebytes.size()), empty);
+  encode_state(nullptr, empty, ebytes);
+  EXPECT_EQ(ebytes.size(), 4u);  // just the u32 slot count
+  EXPECT_EQ(decode_state(nullptr, ebytes.data(), ebytes.size()), empty);
 }
 
 TEST(Fingerprint, EncodingIsInjectiveAcrossKindsAndNesting) {
@@ -125,7 +125,7 @@ TEST(Fingerprint, EncodingIsInjectiveAcrossKindsAndNesting) {
   std::set<std::string> encodings;
   for (const State& s : distinct) {
     std::vector<std::byte> bytes;
-    encode_state(s, bytes);
+    encode_state(nullptr, s, bytes);
     encodings.insert(std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
   }
   EXPECT_EQ(encodings.size(), distinct.size());
@@ -134,18 +134,19 @@ TEST(Fingerprint, EncodingIsInjectiveAcrossKindsAndNesting) {
 TEST(Fingerprint, DecodeRejectsMalformedInput) {
   const State s({Value::integer(7), Value::string("hi")});
   std::vector<std::byte> bytes;
-  encode_state(s, bytes);
+  encode_state(nullptr, s, bytes);
   // Truncation anywhere in the record is corruption.
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW(decode_state(bytes.data(), len), std::runtime_error) << "len=" << len;
+    EXPECT_THROW(decode_state(nullptr, bytes.data(), len), std::runtime_error) << "len=" << len;
   }
   // So are trailing bytes.
   bytes.push_back(std::byte{0});
-  EXPECT_THROW(decode_state(bytes.data(), bytes.size()), std::runtime_error);
-  // And an unknown kind tag (count = 1, tag = 9).
+  EXPECT_THROW(decode_state(nullptr, bytes.data(), bytes.size()), std::runtime_error);
+  // And an unknown kind tag (count = 1, escaped slot, tag = 9).
+  const std::byte ff{0xff};
   const std::vector<std::byte> bad = {std::byte{1}, std::byte{0}, std::byte{0},
-                                      std::byte{0}, std::byte{9}};
-  EXPECT_THROW(decode_state(bad.data(), bad.size()), std::runtime_error);
+                                      std::byte{0}, ff, ff, ff, ff, std::byte{9}};
+  EXPECT_THROW(decode_state(nullptr, bad.data(), bad.size()), std::runtime_error);
 }
 
 TEST(Fingerprint, StateFingerprintIsStableGolden) {
@@ -154,12 +155,130 @@ TEST(Fingerprint, StateFingerprintIsStableGolden) {
   const std::vector<std::byte> empty_state = {std::byte{0}, std::byte{0}, std::byte{0},
                                               std::byte{0}};
   EXPECT_EQ(fingerprint_bytes(empty_state.data(), empty_state.size()),
-            state_fingerprint(State(std::vector<Value>{})));
+            state_fingerprint(nullptr, State(std::vector<Value>{})));
   EXPECT_EQ(fingerprint_bytes(nullptr, 0), 14695981039346656037ULL);  // FNV offset basis
-  EXPECT_EQ(state_fingerprint(State({Value::integer(1)})),
-            state_fingerprint(State({Value::integer(1)})));
-  EXPECT_NE(state_fingerprint(State({Value::integer(1)})),
-            state_fingerprint(State({Value::integer(2)})));
+  EXPECT_EQ(state_fingerprint(nullptr, State({Value::integer(1)})),
+            state_fingerprint(nullptr, State({Value::integer(1)})));
+  EXPECT_NE(state_fingerprint(nullptr, State({Value::integer(1)})),
+            state_fingerprint(nullptr, State({Value::integer(2)})));
+}
+
+// --- Domain-indexed slots: one u32 per variable over a VarTable. ---
+
+/// x in 0..3, q a sequence of bits up to length 2, b a boolean.
+VarTable indexed_table() {
+  VarTable vars;
+  vars.declare("x", range_domain(0, 3));
+  vars.declare("q", seq_domain(range_domain(0, 1), 2));
+  vars.declare("b", bool_domain());
+  return vars;
+}
+
+std::uint32_t slot_word(const std::vector<std::byte>& bytes, std::size_t i) {
+  std::uint32_t v = 0;
+  for (int k = 0; k < 4; ++k) {
+    v |= static_cast<std::uint32_t>(bytes[4 + 4 * i + k]) << (8 * k);
+  }
+  return v;
+}
+
+TEST(Fingerprint, InDomainValuesEncodeAsTheirDomainIndex) {
+  const VarTable vars = indexed_table();
+  const State s({Value::integer(2), Value::tuple({Value::integer(1), Value::integer(0)}),
+                 Value::boolean(true)});
+  std::vector<std::byte> bytes;
+  encode_state(&vars, s, bytes);
+  ASSERT_EQ(bytes.size(), 16u);  // slot count + three slot words, nothing escaped
+  for (VarId v = 0; v < 3; ++v) {
+    EXPECT_EQ(slot_word(bytes, v), vars.domain(v).index_of(s[v])) << vars.name(v);
+  }
+  EXPECT_EQ(decode_state(&vars, bytes.data(), bytes.size()), s);
+}
+
+TEST(Fingerprint, EscapedSlotsRoundTripNextToIndexedOnes) {
+  const VarTable vars = indexed_table();
+  const std::vector<State> states = {
+      // x outside its range, q longer than its domain allows.
+      State({Value::integer(9),
+             Value::tuple({Value::integer(0), Value::integer(0), Value::integer(0)}),
+             Value::boolean(false)}),
+      // a value of another kind than the domain's.
+      State({Value::string("x"), Value::empty_seq(), Value::integer(1)}),
+      // slots past the table.
+      State({Value::integer(0), Value::empty_seq(), Value::boolean(true), Value::integer(0),
+             Value::tuple({Value::string("cfg")})}),
+      // fewer slots than the table.
+      State({Value::integer(3)}),
+  };
+  for (std::size_t n = 0; n < states.size(); ++n) {
+    const State& s = states[n];
+    SCOPED_TRACE("state " + std::to_string(n));
+    for (const VarTable* table : {&vars, static_cast<const VarTable*>(nullptr)}) {
+      std::vector<std::byte> bytes;
+      encode_state(table, s, bytes);
+      EXPECT_EQ(decode_state(table, bytes.data(), bytes.size()), s);
+      for (std::size_t i = 0; i < s.size(); ++i) {
+        const bool indexed = table != nullptr && i < vars.size() &&
+                             vars.domain(static_cast<VarId>(i)).contains(s[i]);
+        EXPECT_EQ(slot_word(bytes, i) == kEscapedSlot, !indexed) << "slot " << i;
+      }
+    }
+  }
+  // The first state escapes two slots and indexes one.
+  std::vector<std::byte> bytes;
+  encode_state(&vars, states[0], bytes);
+  EXPECT_EQ(slot_word(bytes, 2), 0u);  // FALSE sorts first
+}
+
+TEST(Fingerprint, DecodeRejectsCorruptSlotWords) {
+  const VarTable vars = indexed_table();
+  const State s({Value::integer(1), Value::empty_seq(), Value::integer(5)});
+  std::vector<std::byte> bytes;
+  encode_state(&vars, s, bytes);
+  ASSERT_EQ(slot_word(bytes, 2), kEscapedSlot);
+  ASSERT_EQ(decode_state(&vars, bytes.data(), bytes.size()), s);
+  auto with_slot = [&](std::size_t i, std::uint32_t word) {
+    std::vector<std::byte> b = bytes;
+    for (int k = 0; k < 4; ++k) b[4 + 4 * i + k] = static_cast<std::byte>(word >> (8 * k));
+    return b;
+  };
+  // A slot word at or past |D| names no value.
+  for (std::uint32_t word : {4u, 5u, kEscapedSlot - 1}) {
+    const std::vector<std::byte> b = with_slot(0, word);
+    EXPECT_THROW(decode_state(&vars, b.data(), b.size()), std::runtime_error) << word;
+  }
+  const std::vector<std::byte> past_q = with_slot(1, 7);  // |q's domain| = 7
+  EXPECT_THROW(decode_state(&vars, past_q.data(), past_q.size()), std::runtime_error);
+  // An index word means nothing without a table to read it against.
+  EXPECT_THROW(decode_state(nullptr, bytes.data(), bytes.size()), std::runtime_error);
+  // A truncated slot block, and trailing bytes, are corruption too.
+  for (std::size_t len = 0; len < 16; ++len) {
+    EXPECT_THROW(decode_state(&vars, bytes.data(), len), std::runtime_error) << "len=" << len;
+  }
+  bytes.push_back(std::byte{0});
+  EXPECT_THROW(decode_state(&vars, bytes.data(), bytes.size()), std::runtime_error);
+}
+
+TEST(StateStore, TableStoreRoundTripsIndexedAndEscapedStates) {
+  const VarTable vars = indexed_table();
+  StateStore store(&vars);
+  const std::vector<State> states = {
+      State({Value::integer(0), Value::empty_seq(), Value::boolean(false)}),
+      State({Value::integer(3), Value::tuple({Value::integer(1)}), Value::boolean(true)}),
+      State({Value::integer(4), Value::empty_seq(), Value::boolean(false)}),  // x escaped
+      State({Value::integer(0), Value::empty_seq(), Value::boolean(false), Value::integer(0)}),
+  };
+  std::vector<StateId> ids;
+  for (const State& s : states) ids.push_back(store.intern(s));
+  EXPECT_EQ(std::set<StateId>(ids.begin(), ids.end()).size(), states.size());
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    EXPECT_EQ(store.intern(states[i]), ids[i]);
+    EXPECT_EQ(store.find(states[i]), ids[i]);
+    EXPECT_EQ(store.get(ids[i]), states[i]);
+  }
+  EXPECT_EQ(store.encoded(ids[0]).second, 16u);
+  EXPECT_EQ(store.find(State({Value::integer(1), Value::empty_seq(), Value::boolean(false)})),
+            StateStore::kNone);
 }
 
 // --- Fingerprint collisions are hard errors, never silent merges. ---
@@ -300,13 +419,16 @@ TEST(StateStore, InternHoldsExactlyOneCopyPerState) {
   // Regression for the double-deep-copy bug: the arena's used bytes must
   // equal the sum of each distinct state's encoding (+4-byte length
   // prefix) — one canonical copy, no duplicates, and re-interning adds
-  // nothing.
-  StateStore store;
+  // nothing. Half the states escape their first slot.
+  VarTable vars;
+  vars.declare("i", range_domain(0, 24));
+  vars.declare("s", Domain({Value::string("abc")}));
+  StateStore store(&vars);
   std::uint64_t expected = 0;
   for (std::int64_t i = 0; i < 50; ++i) {
     const State s({Value::integer(i), Value::string("abc")});
     std::vector<std::byte> bytes;
-    encode_state(s, bytes);
+    encode_state(&vars, s, bytes);
     expected += 4 + bytes.size();
     store.intern(s);
     store.intern(s);  // duplicate: must not re-append

@@ -151,5 +151,55 @@ TEST(Domain, TupleDomainIsCartesianProduct) {
   EXPECT_TRUE(d.contains(Value::tuple({Value::integer(1), Value::integer(2)})));
 }
 
+TEST(Domain, FindReturnsSortedPositionOfEveryMember) {
+  const std::vector<Domain> domains = {
+      bool_domain(),
+      range_domain(-3, 40),
+      seq_domain(range_domain(0, 2), 4),
+      tuple_domain({range_domain(0, 1), bool_domain(), range_domain(5, 7)}),
+      Domain({Value::string(""), Value::string("a"), Value::string("ab"), Value::string("b")}),
+      Domain({Value::boolean(true), Value::integer(1), Value::integer(0), Value::string("1"),
+              Value::tuple({Value::integer(1)}), Value::empty_seq(), Value::boolean(false)}),
+  };
+  for (const Domain& d : domains) {
+    SCOPED_TRACE(d.to_string());
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      EXPECT_EQ(d.find(d[i]), i);
+      EXPECT_EQ(d.index_of(d[i]), i);
+      EXPECT_TRUE(d.contains(d[i]));
+    }
+  }
+  // Non-members: another kind, an integer out of range, a longer tuple.
+  EXPECT_EQ(domains[0].find(Value::integer(1)), Domain::npos);
+  EXPECT_EQ(domains[1].find(Value::integer(41)), Domain::npos);
+  EXPECT_EQ(domains[1].find(Value::integer(-4)), Domain::npos);
+  EXPECT_EQ(domains[1].find(Value::boolean(true)), Domain::npos);
+  EXPECT_EQ(domains[2].find(Value::tuple({Value::integer(0), Value::integer(0), Value::integer(0),
+                                          Value::integer(0), Value::integer(0)})),
+            Domain::npos);
+  EXPECT_EQ(domains[2].find(Value::tuple({Value::integer(3)})), Domain::npos);
+  EXPECT_EQ(domains[3].find(Value::tuple({Value::integer(0), Value::boolean(true)})),
+            Domain::npos);
+  EXPECT_EQ(domains[4].find(Value::string("c")), Domain::npos);
+  EXPECT_EQ(domains[5].find(Value::integer(2)), Domain::npos);
+  EXPECT_EQ(domains[5].find(Value::string("0")), Domain::npos);
+  EXPECT_FALSE(domains[4].contains(Value::integer(0)));
+  EXPECT_THROW(domains[1].index_of(Value::integer(41)), std::runtime_error);
+}
+
+TEST(Domain, EmptyDomainFindsNothing) {
+  for (const Domain& d : {Domain(), Domain(std::vector<Value>{}), range_domain(1, 0)}) {
+    EXPECT_EQ(d.find(Value::integer(0)), Domain::npos);
+    EXPECT_EQ(d.find(Value::empty_seq()), Domain::npos);
+    EXPECT_FALSE(d.contains(Value::boolean(false)));
+    EXPECT_THROW(d.index_of(Value::integer(0)), std::runtime_error);
+  }
+}
+
+TEST(Domain, EqualityIgnoresHowTheValuesWereListed) {
+  EXPECT_EQ(Domain({Value::integer(2), Value::integer(1)}), range_domain(1, 2));
+  EXPECT_FALSE(Domain({Value::integer(2)}) == range_domain(1, 2));
+}
+
 }  // namespace
 }  // namespace opentla
