@@ -1,6 +1,7 @@
 #include "opentla/ag/composition_theorem.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -9,8 +10,6 @@
 #include "opentla/automata/freeze.hpp"
 #include "opentla/check/inclusion.hpp"
 #include "opentla/check/invariant.hpp"
-#include "opentla/check/machine_closure.hpp"
-#include "opentla/check/orthogonality.hpp"
 #include "opentla/check/refinement.hpp"
 #include "opentla/compose/compose.hpp"
 #include "opentla/expr/analysis.hpp"
@@ -203,11 +202,10 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
   // irrelevant ones (pinned).
   std::vector<VarId> normalize(hidden_set.begin(), hidden_set.end());
   normalize.insert(normalize.end(), irrelevant.begin(), irrelevant.end());
-  std::vector<VarId> plus_v = opts.plus_tuple;
-  if (plus_v.empty()) {
-    for (VarId v = 0; v < vars.size(); ++v) {
-      if (!hidden_set.contains(v) && relevant.contains(v)) plus_v.push_back(v);
-    }
+  // The freeze tuple v of C(E)_{+v}: every relevant visible variable.
+  std::vector<VarId> plus_v;
+  for (VarId v = 0; v < vars.size(); ++v) {
+    if (!hidden_set.contains(v) && relevant.contains(v)) plus_v.push_back(v);
   }
 
   // --- 1. Proposition 1: syntactic closures ---
@@ -216,6 +214,8 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
   // theorem's conclusion from the discharged hypotheses).
   std::vector<CanonicalSpec> closures;  // C(M_j)
   Prop1Result goal_p1;
+  // Why H2a is not discharged by Propositions 3 and 4; empty when it is.
+  std::string h2a_route_refused;
   {
     OPENTLA_OBS_SPAN("fig9:1");
     OPENTLA_OBS_PHASE("fig9:1");
@@ -234,12 +234,33 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
     for (const CanonicalSpec& c : closures) all_specs.push_back(&c);
     report.add(prop2_side_conditions(vars, all_specs, goal.guarantee));
     if (!report.all_discharged()) return report;
+
+    // --- Propositions 3 and 4: H2a without the freeze operator ---
+    // Figure 9 discharges H2a in two moves: Proposition 4 makes C(E) and
+    // C(M) orthogonal under R = /\_j C(M_j), and Proposition 3 then reduces
+    // H2a to C(E) /\ R => C(M), one more target on H1's product. Where a
+    // side condition fails, H2a explores the freeze product instead.
+    const Obligation prop3 = prop3_side_condition(vars, goal_p1.closure, plus_v);
+    Obligation prop4 =
+        prop4_orthogonality(vars, goal.assumption, goal.guarantee, closures, normalize);
+    if (!prop3) {
+      h2a_route_refused = prop3.detail;
+    } else if (!prop4) {
+      h2a_route_refused = prop4.detail;
+    } else {
+      report.add(std::move(prop4));
+    }
   }
 
   // --- shared exploration pieces ---
-  std::vector<Expr> init_conjuncts = {goal.assumption.init};
-  for (const AGSpec& c : components) init_conjuncts.push_back(c.guarantee.init);
-  const Expr init_enum = ex::land(std::move(init_conjuncts));
+  // R's initial states are those of /\_j Init_{M_j}; H1's product starts
+  // where Init_E holds as well. C(E)_{+v} constrains no initial state:
+  // from one that fails Init_E, it holds while v never changes.
+  std::vector<Expr> r_inits;
+  for (const CanonicalSpec& c : closures) r_inits.push_back(c.init);
+  const Expr r_init = ex::land(r_inits);
+  r_inits.push_back(goal.assumption.init);
+  const Expr h1_init = ex::land(std::move(r_inits));
 
   auto build_movers = [&]() {
     std::vector<Mover> movers;
@@ -252,10 +273,6 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
       if (!components[j].guarantee_is_mover || components[j].guarantee.sub.empty()) continue;
       movers.push_back(mover_from_spec(closures[j], static_cast<int>(1 + j), normalize));
       covered.insert(closures[j].sub.begin(), closures[j].sub.end());
-    }
-    for (const std::vector<VarId>& tuple : opts.free_tuples) {
-      movers.push_back(free_tuple_mover(vars, tuple));
-      covered.insert(tuple.begin(), tuple.end());
     }
     // Relevant visible variables no mover writes are unconstrained by the
     // conjunction (no [N]_v mentions them): they may change at any step.
@@ -277,6 +294,9 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
   auto budget_stopped = [&] { return opts.budget != nullptr && opts.budget->stopped(); };
 
   // --- H1: |= C(E) /\ /\_j C(M_j) => E_i ---
+  // The product of C(E) /\ R also serves H2a's route; it is released
+  // before the next exploration.
+  std::optional<ConstraintExplorer> product;
   {
     OPENTLA_OBS_SPAN("fig9:2.1");
     OPENTLA_OBS_PHASE("fig9:2.1");
@@ -285,13 +305,14 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
     for (const CanonicalSpec& c : closures) {
       constraints.push_back(std::make_shared<PrefixMachine>(vars, c));
     }
-    // Every H1[E_i] target searches this one product, so its build is
-    // charged to the proof rather than to any one target.
-    ConstraintExplorer explorer = [&] {
+    // Every target on this one product (each H1[E_i], and H2a by the
+    // route) shares its build, so the build is charged to the proof
+    // rather than to any one target.
+    {
       ObligationTimer timer(report.h1_build_millis);
-      return ConstraintExplorer(vars, constraints, build_movers(), init_enum, normalize,
-                                explore_options(opts));
-    }();
+      product.emplace(vars, constraints, build_movers(), h1_init, normalize,
+                      explore_options(opts));
+    }
     for (std::size_t i = 0; i < components.size(); ++i) {
       OPENTLA_OBS_SPAN("fig9:2.1." + std::to_string(i + 1));
       Obligation ob;
@@ -304,7 +325,7 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
         report.add(std::move(ob));
         continue;
       }
-      if (budget_stopped() && explorer.stop_reason() == run::StopReason::kCompleted) {
+      if (budget_stopped() && product->stop_reason() == run::StopReason::kCompleted) {
         // The product itself is complete but the budget tripped meanwhile
         // (e.g. deadline during an earlier target): skip the remaining
         // targets instead of starting new pair searches.
@@ -316,9 +337,9 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
       ConstraintExplorer::Verdict verdict = [&] {
         ObligationTimer timer(ob);
         PrefixMachine target(vars, components[i].assumption);
-        return explorer.check_target(target);
+        return product->check_target(target);
       }();
-      ob.detail = "product nodes: " + std::to_string(explorer.num_nodes()) +
+      ob.detail = "product nodes: " + std::to_string(product->num_nodes()) +
                   ", pairs: " + std::to_string(verdict.pairs_visited);
       adopt_verdict(ob, verdict.holds, verdict.stop_reason);
       if (!verdict.holds) ob.detail += "\n" + short_trace(vars, verdict.counterexample);
@@ -327,47 +348,50 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
   }
 
   // --- H2a: |= C(E)_{+v} /\ /\_j C(M_j) => C(M) ---
-  {
+  const std::string h2a_description = "C(" + goal.assumption.name +
+                                      ")_{+v} /\\ /\\_j C(M_j) => C(" +
+                                      goal.guarantee.name + ")";
+  if (budget_stopped()) {
+    report.add(skipped_obligation("H2a", h2a_description, *opts.budget));
+  } else {
     Obligation ob;
     ob.id = "H2a";
-    ob.description = "C(" + goal.assumption.name + ")_{+v} /\\ /\\_j C(M_j) => C(" +
-                     goal.guarantee.name + ")";
-    if (budget_stopped()) {
-      report.add(skipped_obligation(std::move(ob.id), std::move(ob.description),
-                                    *opts.budget));
-    } else {
-    ob.method = "product-inclusion(freeze)";
+    ob.description = h2a_description;
     {
       OPENTLA_OBS_SPAN("fig9:2.2");
       OPENTLA_OBS_PHASE("fig9:2.2");
       ObligationTimer timer(ob);
-      std::vector<std::shared_ptr<const SafetyMachine>> constraints;
-      constraints.push_back(std::make_shared<FreezeMachine>(
-          std::make_shared<PrefixMachine>(vars, goal.assumption), plus_v));
-      for (const CanonicalSpec& c : closures) {
-        constraints.push_back(std::make_shared<PrefixMachine>(vars, c));
+      const PrefixMachine target(vars, goal_p1.closure);
+      ConstraintExplorer::Verdict verdict;
+      if (h2a_route_refused.empty()) {
+        // Proposition 3: C(E) /\ R => C(M), on H1's product.
+        ob.method = "product-inclusion(prop3)";
+        verdict = product->check_target(target);
+        ob.detail = "product nodes: " + std::to_string(product->num_nodes());
+      } else {
+        product.reset();
+        ob.method = "product-inclusion(freeze)";
+        std::vector<std::shared_ptr<const SafetyMachine>> constraints;
+        constraints.push_back(std::make_shared<FreezeMachine>(
+            std::make_shared<PrefixMachine>(vars, goal.assumption), plus_v));
+        for (const CanonicalSpec& c : closures) {
+          constraints.push_back(std::make_shared<PrefixMachine>(vars, c));
+        }
+        const ConstraintExplorer freeze(vars, constraints, build_movers(), r_init, normalize,
+                                        explore_options(opts));
+        verdict = freeze.check_target(target);
+        ob.detail = "product nodes: " + std::to_string(freeze.num_nodes());
       }
-      std::vector<Mover> movers = build_movers();
-      // After E fails, variables outside v may still change freely.
-      std::vector<VarId> unfrozen;
-      for (VarId v = 0; v < vars.size(); ++v) {
-        if (hidden_set.contains(v) || !relevant.contains(v)) continue;
-        if (std::find(plus_v.begin(), plus_v.end(), v) == plus_v.end()) unfrozen.push_back(v);
-      }
-      if (!unfrozen.empty()) movers.push_back(free_tuple_mover(vars, unfrozen));
-
-      ConstraintExplorer explorer(vars, constraints, std::move(movers), init_enum, normalize,
-                                  explore_options(opts));
-      PrefixMachine target(vars, goal_p1.closure);
-      ConstraintExplorer::Verdict verdict = explorer.check_target(target);
-      ob.detail = "product nodes: " + std::to_string(explorer.num_nodes()) +
-                  ", pairs: " + std::to_string(verdict.pairs_visited);
+      ob.detail += ", pairs: " + std::to_string(verdict.pairs_visited);
       adopt_verdict(ob, verdict.holds, verdict.stop_reason);
+      if (!h2a_route_refused.empty()) {
+        ob.detail += "\nnot by Propositions 3/4: " + h2a_route_refused;
+      }
       if (!verdict.holds) ob.detail += "\n" + short_trace(vars, verdict.counterexample);
     }
     report.add(std::move(ob));
-    }  // budget-skip else
   }
+  product.reset();
 
   // --- H2b: |= E /\ /\_j M_j => M ---
   if (budget_stopped()) {
@@ -426,8 +450,7 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
       parts.push_back({make_pin(vars, pin_tuple, "PinUnconstrained"), /*mover=*/false});
     }
     try {
-      StateGraph low = build_composite_graph(vars, parts, opts.free_tuples, pin_tuple,
-                                             explore_options(opts));
+      StateGraph low = build_composite_graph(vars, parts, {}, pin_tuple, explore_options(opts));
       if (low.stop_reason() != run::StopReason::kCompleted) {
         // Refinement (incl. its liveness side) is only meaningful on the
         // complete low graph; a truncated one can neither discharge nor
@@ -482,183 +505,6 @@ ProofReport verify_refinement_corollary(const VarTable& vars, const CanonicalSpe
   AGSpec component{assumption, low};
   AGSpec goal{assumption, high};
   return verify_composition(vars, {component}, goal, opts);
-}
-
-std::vector<Obligation> discharge_h2a_via_prop3(const VarTable& vars,
-                                                const std::vector<AGSpec>& components,
-                                                const AGSpec& goal, const Prop3Route& route,
-                                                const CompositionOptions& opts) {
-  std::vector<Obligation> out;
-
-  // Closures (Proposition 1) and the relevant/irrelevant split, as in
-  // verify_composition.
-  std::vector<CanonicalSpec> closures;
-  for (const AGSpec& c : components) {
-    Prop1Result p1 = prop1_closure(c.guarantee);
-    if (!p1.obligation) {
-      out.push_back(p1.obligation);
-      return out;
-    }
-    closures.push_back(std::move(p1.closure));
-  }
-  Prop1Result goal_p1 = prop1_closure(goal.guarantee);
-  if (!goal_p1.obligation) {
-    out.push_back(goal_p1.obligation);
-    return out;
-  }
-
-  std::set<VarId> hidden_set(goal.guarantee.hidden.begin(), goal.guarantee.hidden.end());
-  std::set<VarId> relevant = spec_variables(goal.guarantee);
-  {
-    std::set<VarId> s = spec_variables(goal.assumption);
-    relevant.insert(s.begin(), s.end());
-  }
-  for (const AGSpec& c : components) {
-    hidden_set.insert(c.guarantee.hidden.begin(), c.guarantee.hidden.end());
-    for (const CanonicalSpec* s : {&c.guarantee, &c.assumption}) {
-      std::set<VarId> sv = spec_variables(*s);
-      relevant.insert(sv.begin(), sv.end());
-    }
-  }
-  std::vector<VarId> normalize(hidden_set.begin(), hidden_set.end());
-  for (VarId v = 0; v < vars.size(); ++v) {
-    if (!relevant.contains(v)) normalize.push_back(v);
-  }
-  std::vector<VarId> plus_v = opts.plus_tuple;
-  if (plus_v.empty()) {
-    for (VarId v = 0; v < vars.size(); ++v) {
-      if (!hidden_set.contains(v) && relevant.contains(v)) plus_v.push_back(v);
-    }
-  }
-
-  // --- Proposition 3's side condition: free vars of C(M) within v ---
-  out.push_back(prop3_side_condition(vars, goal_p1.closure, plus_v));
-  if (!out.back()) return out;
-
-  // --- Proposition 4's syntactic side conditions for C(E) _|_ C(M) ---
-  out.push_back(prop4_orthogonality(vars, goal.assumption, route.env_outputs,
-                                    goal.guarantee, route.guarantee_outputs));
-  if (!out.back()) return out;
-
-  // --- Step 2.1 (semantic): |= R => C(E) _|_ C(M) on R's behaviors ---
-  {
-    Obligation ob;
-    ob.id = "2.1";
-    ob.description = "/\\_j C(M_j) => C(" + goal.assumption.name + ") _|_ C(" +
-                     goal.guarantee.name + ")";
-    ob.method = "orthogonality(product)";
-    {
-      OPENTLA_OBS_SPAN("prop3:2.1");
-      OPENTLA_OBS_PHASE("prop3:2.1");
-      ObligationTimer timer(ob);
-      // R's generator: the closures with hidden variables explicit, plus a
-      // single free tuple for everything no mover constrains (environment
-      // moves; the components' own step filters reject what R forbids).
-      std::vector<CompositePart> parts;
-      std::set<VarId> covered;
-      for (std::size_t j = 0; j < components.size(); ++j) {
-        parts.push_back({closures[j].unhidden(), components[j].guarantee_is_mover});
-        covered.insert(closures[j].sub.begin(), closures[j].sub.end());
-      }
-      std::vector<VarId> env_free;
-      std::vector<VarId> pin_tuple;
-      for (VarId v = 0; v < vars.size(); ++v) {
-        if (covered.contains(v)) continue;
-        if (relevant.contains(v) && !hidden_set.contains(v)) {
-          env_free.push_back(v);
-        } else {
-          pin_tuple.push_back(v);
-        }
-      }
-      if (!env_free.empty()) {
-        // Cover the free environment variables with a frame part so the
-        // coverage check passes; the free tuple generates their moves.
-        CanonicalSpec frame;
-        frame.name = "EnvFrame";
-        frame.init = ex::top();
-        frame.next = ex::top();
-        frame.sub = env_free;
-        parts.push_back({frame, /*mover=*/false});
-      }
-      if (!pin_tuple.empty()) {
-        parts.push_back({make_pin(vars, pin_tuple, "Pin"), /*mover=*/false});
-      }
-      std::vector<std::vector<VarId>> free_tuples = opts.free_tuples;
-      if (!env_free.empty()) free_tuples.push_back(env_free);
-
-      StateGraph r_graph =
-          build_composite_graph(vars, parts, free_tuples, pin_tuple, explore_options(opts));
-      if (r_graph.stop_reason() != run::StopReason::kCompleted) {
-        ob.discharged = false;
-        ob.inconclusive = true;
-        ob.detail = "R states: " + std::to_string(r_graph.num_states()) +
-                    " [partial: run budget stop (" + run::to_string(r_graph.stop_reason()) +
-                    "), orthogonality not evaluated]";
-      } else {
-        PrefixMachine e_machine(vars, goal.assumption);
-        PrefixMachine m_machine(vars, goal_p1.closure);
-        OrthogonalityResult orth =
-            check_orthogonality(r_graph, e_machine, m_machine, explore_options(opts));
-        ob.detail = "R states: " + std::to_string(r_graph.num_states()) +
-                    ", pairs: " + std::to_string(orth.pairs_visited);
-        adopt_verdict(ob, orth.holds, orth.stop_reason);
-        if (!orth.holds) ob.detail += "\n" + short_trace(vars, orth.counterexample);
-      }
-    }
-    out.push_back(std::move(ob));
-    if (!out.back()) return out;
-  }
-
-  // --- Step 2.2: |= C(E) /\ R => C(M) (no freeze) ---
-  {
-    Obligation ob;
-    ob.id = "2.2";
-    ob.description =
-        "C(" + goal.assumption.name + ") /\\ /\\_j C(M_j) => C(" + goal.guarantee.name + ")";
-    ob.method = "product-inclusion";
-    {
-      OPENTLA_OBS_SPAN("prop3:2.2");
-      OPENTLA_OBS_PHASE("prop3:2.2");
-      ObligationTimer timer(ob);
-      std::vector<std::shared_ptr<const SafetyMachine>> constraints;
-      constraints.push_back(std::make_shared<PrefixMachine>(vars, goal.assumption));
-      for (const CanonicalSpec& c : closures) {
-        constraints.push_back(std::make_shared<PrefixMachine>(vars, c));
-      }
-      std::vector<Mover> movers;
-      if (!is_trivial_spec(goal.assumption) && !goal.assumption.sub.empty()) {
-        movers.push_back(mover_from_spec(goal.assumption, 0, normalize));
-      }
-      for (std::size_t j = 0; j < components.size(); ++j) {
-        if (!components[j].guarantee_is_mover || components[j].guarantee.sub.empty()) continue;
-        movers.push_back(mover_from_spec(closures[j], static_cast<int>(1 + j), normalize));
-      }
-      std::vector<Expr> init_conjuncts = {goal.assumption.init};
-      for (const AGSpec& c : components) init_conjuncts.push_back(c.guarantee.init);
-      ConstraintExplorer explorer(vars, constraints, std::move(movers),
-                                  ex::land(std::move(init_conjuncts)), normalize,
-                                  explore_options(opts));
-      PrefixMachine target(vars, goal_p1.closure);
-      ConstraintExplorer::Verdict verdict = explorer.check_target(target);
-      ob.detail = "product nodes: " + std::to_string(explorer.num_nodes()) +
-                  ", pairs: " + std::to_string(verdict.pairs_visited);
-      adopt_verdict(ob, verdict.holds, verdict.stop_reason);
-      if (!verdict.holds) ob.detail += "\n" + short_trace(vars, verdict.counterexample);
-    }
-    out.push_back(std::move(ob));
-    if (!out.back()) return out;
-  }
-
-  // --- Conclusion: Proposition 3 assembles H2a ---
-  Obligation concl;
-  concl.id = "H2a(via Prop3)";
-  concl.description = "C(" + goal.assumption.name + ")_{+v} /\\ /\\_j C(M_j) => C(" +
-                      goal.guarantee.name + ")";
-  concl.method = "prop3";
-  concl.discharged = true;
-  concl.detail = "from 2.1, 2.2 and Proposition 3";
-  out.push_back(std::move(concl));
-  return out;
 }
 
 }  // namespace opentla

@@ -1,10 +1,13 @@
 #include "opentla/ag/propositions.hpp"
 
 #include <algorithm>
-#include <set>
+#include <string>
 
+#include "opentla/automata/prefix_machine.hpp"
 #include "opentla/check/machine_closure.hpp"
 #include "opentla/expr/analysis.hpp"
+#include "opentla/graph/successor.hpp"
+#include "opentla/tla/disjoint.hpp"
 
 namespace opentla {
 
@@ -73,46 +76,96 @@ Obligation prop3_side_condition(const VarTable& vars, const CanonicalSpec& m,
   return ob;
 }
 
-Obligation prop4_orthogonality(const VarTable& vars, const CanonicalSpec& e,
-                               const std::vector<VarId>& e_out, const CanonicalSpec& m,
-                               const std::vector<VarId>& m_out) {
-  Obligation ob;
-  ob.id = "Prop4[" + e.name + " _|_ " + m.name + "]";
-  ob.description = "interleaving component specs are orthogonal";
-  ob.method = "prop4-syntactic";
-  // Side condition 1: output tuples are disjoint variable sets.
-  for (VarId x : e_out) {
-    if (std::find(m_out.begin(), m_out.end(), x) != m_out.end()) {
-      ob.discharged = false;
-      ob.detail = "output variable '" + vars.name(x) + "' shared by both components";
-      return ob;
+namespace {
+
+/// `spec`'s subscript without its hidden variables: by Proposition 4's
+/// shape, the component's output tuple.
+std::vector<VarId> output_tuple(const CanonicalSpec& spec) {
+  std::vector<VarId> out;
+  for (VarId v : spec.sub) {
+    if (std::find(spec.hidden.begin(), spec.hidden.end(), v) == spec.hidden.end()) {
+      out.push_back(v);
     }
   }
-  // Side condition 2: each spec can only be falsified by changing its own
-  // outputs (or hidden variables): its subscript is outputs + hidden.
-  auto sub_is_out_plus_hidden = [](const CanonicalSpec& s, const std::vector<VarId>& out) {
-    std::set<VarId> expect(out.begin(), out.end());
-    expect.insert(s.hidden.begin(), s.hidden.end());
-    return std::set<VarId>(s.sub.begin(), s.sub.end()) == expect;
+  return out;
+}
+
+/// Whether Disjoint(tuples) implies Disjoint(a, b) for nonempty a and b:
+/// every variable of a and b lies in some tuple, and no tuple meets both. A
+/// step changing a and b would then change two different tuples.
+bool keeps_apart(const std::vector<std::vector<VarId>>& tuples, const std::vector<VarId>& a,
+                 const std::vector<VarId>& b) {
+  auto in = [](const std::vector<VarId>& tuple, VarId v) {
+    return std::find(tuple.begin(), tuple.end(), v) != tuple.end();
   };
-  if (!sub_is_out_plus_hidden(e, e_out)) {
+  auto covered = [&](const std::vector<VarId>& vs) {
+    return std::all_of(vs.begin(), vs.end(), [&](VarId v) {
+      return std::any_of(tuples.begin(), tuples.end(), [&](const auto& t) { return in(t, v); });
+    });
+  };
+  auto meets = [&](const std::vector<VarId>& tuple, const std::vector<VarId>& vs) {
+    return std::any_of(vs.begin(), vs.end(), [&](VarId v) { return in(tuple, v); });
+  };
+  return covered(a) && covered(b) &&
+         std::none_of(tuples.begin(), tuples.end(),
+                      [&](const auto& t) { return meets(t, a) && meets(t, b); });
+}
+
+}  // namespace
+
+Obligation prop4_orthogonality(const VarTable& vars, const CanonicalSpec& e,
+                               const CanonicalSpec& m, const std::vector<CanonicalSpec>& r,
+                               const std::vector<VarId>& pinned) {
+  Obligation ob;
+  ob.id = "Prop4[" + e.name + " _|_ " + m.name + "]";
+  ob.description = "/\\_j C(M_j) => C(" + e.name + ") _|_ C(" + m.name + ")";
+  ob.method = "prop4";
+  auto refuse = [&](std::string why) {
     ob.discharged = false;
-    ob.detail = e.name + "'s subscript is not its output tuple (plus hidden variables)";
+    ob.detail = std::move(why);
     return ob;
-  }
-  if (!sub_is_out_plus_hidden(m, m_out)) {
-    ob.discharged = false;
-    ob.detail = m.name + "'s subscript is not its output tuple (plus hidden variables)";
-    return ob;
-  }
-  // Side condition 3: closures computable by Proposition 1.
+  };
+  // The closures are the safety parts the prefix machines recognize.
   if (!prop1_closure(e).obligation || !prop1_closure(m).obligation) {
-    ob.discharged = false;
-    ob.detail = "a component's closure is not syntactically computable (Proposition 1)";
-    return ob;
+    return refuse("a closure is not syntactically computable (Proposition 1)");
+  }
+  // A step that leaves a spec's output tuple unchanged extends each of its
+  // runs by a stutter step that keeps the hidden variables as they are, so
+  // only a step changing both output tuples can falsify both closures; R's
+  // Disjoint forbids it. An empty tuple never changes, so then no Disjoint
+  // is needed.
+  const std::vector<VarId> e_out = output_tuple(e);
+  const std::vector<VarId> m_out = output_tuple(m);
+  const std::string outputs =
+      tuple_to_string(vars, e_out) + " and " + tuple_to_string(vars, m_out);
+  std::string apart;
+  if (e_out.empty() || m_out.empty()) {
+    apart = "an empty output tuple keeps " + outputs + " apart";
+  } else {
+    const auto disjoint = std::find_if(r.begin(), r.end(), [&](const CanonicalSpec& s) {
+      return keeps_apart(disjoint_tuples(s), e_out, m_out);
+    });
+    if (disjoint == r.end()) {
+      return refuse("no Disjoint among /\\_j M_j keeps " + outputs + " apart");
+    }
+    apart = disjoint->name + " keeps " + outputs + " apart";
+  }
+  // Both closures must not already fail on the first state.
+  std::vector<Expr> inits;
+  for (const CanonicalSpec& s : r) inits.push_back(s.init);
+  const PrefixMachine e_machine(vars, e);
+  const PrefixMachine m_machine(vars, m);
+  const std::vector<State> starts =
+      ActionSuccessors::states_satisfying(vars, ex::land(std::move(inits)), pinned);
+  for (const State& s : starts) {
+    if (!e_machine.alive(e_machine.initial(s)) && !m_machine.alive(m_machine.initial(s))) {
+      return refuse("an initial state of /\\_j M_j satisfies neither Init of " + e.name +
+                    " nor Init of " + m.name + ": " + s.to_string(vars));
+    }
   }
   ob.discharged = true;
-  ob.detail = "under Disjoint(e, m) and the initial condition, no step falsifies both";
+  ob.detail = apart + "; Init of " + e.name + " or of " + m.name + " holds in each of the " +
+              std::to_string(starts.size()) + " initial states of /\\_j M_j";
   return ob;
 }
 

@@ -17,15 +17,17 @@
 //
 //   Proposition 3 (freeze elimination): for safety E, M, R with vars(M)
 //     included in v:  |= E /\ R => M  and  |= R => (E _|_ M)  imply
-//     |= E_{+v} /\ R => M. This is the paper's route for hypothesis 2(a);
-//     `prop3_side_condition` checks the variable inclusion.
+//     |= E_{+v} /\ R => M. With Proposition 4 this is Figure 9's route for
+//     hypothesis 2(a); `prop3_side_condition` checks the variable inclusion.
 //
-//   Proposition 4 (interleaving orthogonality): for interleaving component
-//     specs E (outputs e) and M (outputs m),
+//   Proposition 4 (interleaving orthogonality): for component specs
+//     E == EE x : Init_E /\ [][N_E]_<<e, x>>  and
+//     M == EE y : Init_M /\ [][N_M]_<<m, y>>,
 //     |= (EE x: Init_E \/ EE y: Init_M) /\ Disjoint(e, m) => C(E) _|_ C(M).
-//     `prop4` checks the side conditions (closures in canonical form via
-//     Proposition 1, initial condition, output disjointness) and concludes
-//     orthogonality.
+//     `prop4_orthogonality` concludes R => C(E) _|_ C(M) for a conjunction R
+//     of component closures by showing that R implies both conjuncts of
+//     the left-hand side: Disjoint(e, m) from a Disjoint among R's specs,
+//     and the initial condition on R's initial states.
 
 #pragma once
 
@@ -54,13 +56,21 @@ Obligation prop2_side_conditions(const VarTable& vars,
 Obligation prop3_side_condition(const VarTable& vars, const CanonicalSpec& m,
                                 const std::vector<VarId>& v);
 
-/// Proposition 4: concludes C(E) _|_ C(M) for interleaving component specs
-/// with output tuples `e_out` and `m_out`, given that Disjoint(e_out,
-/// m_out) is among the behaviors considered. Checks the side conditions
-/// syntactically; the semantic content (no step falsifies both) is
-/// validated elsewhere by check_orthogonality when desired.
+/// Proposition 4 for R = /\_j r[j]: concludes |= R => C(e) _|_ C(m), where
+/// e's output tuple is its subscript without its hidden variables, and
+/// likewise for m. Discharged iff
+///   - both closures are computed syntactically (Proposition 1);
+///   - R implies Disjoint(outputs of e, outputs of m): an output tuple is
+///     empty, or some spec of `r` is a Disjoint that tla/disjoint
+///     recognizes, each output variable lies in one of its tuples, and no
+///     tuple meets both output tuples;
+///   - every initial state of R, a state satisfying /\_j Init_{r[j]},
+///     starts e's or m's prefix machine alive.
+/// `pinned` lists variables that neither e nor m reads freely (hidden ones,
+/// and those no spec mentions): R's initial states leave them at the first
+/// value of their domain where its Init predicates leave them free.
 Obligation prop4_orthogonality(const VarTable& vars, const CanonicalSpec& e,
-                               const std::vector<VarId>& e_out, const CanonicalSpec& m,
-                               const std::vector<VarId>& m_out);
+                               const CanonicalSpec& m, const std::vector<CanonicalSpec>& r,
+                               const std::vector<VarId>& pinned);
 
 }  // namespace opentla

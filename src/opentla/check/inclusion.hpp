@@ -5,11 +5,14 @@
 //
 //     |= P /\ /\_j Q_j  =>  R
 //
-// with P, Q_j safety properties (closures, possibly with hidden variables,
-// possibly wrapped by the freeze operator) and R a safety property. As the
-// paper observes (Section 5), the left-hand side is the specification of a
-// *complete system*; we explore that system as a product, which is a
-// StateGraph like every other exploration (budgets, spill, threads, obs):
+// with P, Q_j safety properties (closures, possibly with hidden variables)
+// and R a safety property. Hypothesis 2(a) wraps P = C(E) in the freeze
+// operator; where Propositions 3 and 4 apply, the verifier drops the
+// freeze and checks 2(a) as one more target on hypothesis 1's product (see
+// ag/composition_theorem). As the paper observes (Section 5), the
+// left-hand side is the specification of a *complete system*; we explore
+// that system as a product, which is a StateGraph like every other
+// exploration (budgets, spill, threads, obs):
 //
 //   product node  =  visible state (hidden entries normalized), with the
 //                    ProductMachine configuration of the left-hand-side
@@ -21,8 +24,8 @@
 // machine is among the constraints is an action step of that mover, and
 // the generator builds each set of such movers' joint steps once, from
 // their conjoined actions. That is not true of every step the left-hand
-// side allows: a freeze-wrapped machine (H2a's C(E)_{+v}) admits one step
-// that breaks the wrapped property. Such a step is explored only beside
+// side allows: a freeze-wrapped machine (the freeze product's C(E)_{+v})
+// admits one step that breaks the wrapped property. Such a step is explored only beside
 // another mover's action step, where the wrapped part's subscript ranges
 // freely (formula (3)'s H2a counterexample flips i.ack and o.ack in one
 // step); a step that breaks E while no other mover moves is not explored.
@@ -31,8 +34,9 @@
 //
 // R holds iff its machine stays alive along every reachable product path.
 // find_dead_pair decides that by exploring the pairs <product node, R's
-// configuration> as one more StateGraph; check/orthogonality runs the same
-// search with a machine for E _|_ M.
+// configuration> as one more StateGraph; check/orthogonality, a library
+// checker the verifier does not call, runs the same search with a machine
+// for E _|_ M.
 
 #pragma once
 

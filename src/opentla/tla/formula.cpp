@@ -143,19 +143,6 @@ Formula orthogonal(CanonicalSpec e, CanonicalSpec m) {
 
 }  // namespace tf
 
-namespace {
-std::string tuple_str(const VarTable& vars, const std::vector<VarId>& t) {
-  std::ostringstream os;
-  os << "<<";
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (i != 0) os << ", ";
-    os << vars.name(t[i]);
-  }
-  os << ">>";
-  return os.str();
-}
-}  // namespace
-
 std::string Formula::to_string(const VarTable& vars) const {
   if (is_null()) return "<null>";
   const FormulaNode& n = node();
@@ -164,17 +151,17 @@ std::string Formula::to_string(const VarTable& vars) const {
     case FormulaKind::Pred:
       return n.expr.to_string(vars);
     case FormulaKind::ActionBox:
-      os << "[][" << n.expr.to_string(vars) << "]_" << tuple_str(vars, n.sub);
+      os << "[][" << n.expr.to_string(vars) << "]_" << tuple_to_string(vars, n.sub);
       return os.str();
     case FormulaKind::Always:
       return "[](" + n.kids[0].to_string(vars) + ")";
     case FormulaKind::Eventually:
       return "<>(" + n.kids[0].to_string(vars) + ")";
     case FormulaKind::WeakFair:
-      os << "WF_" << tuple_str(vars, n.sub) << "(" << n.expr.to_string(vars) << ")";
+      os << "WF_" << tuple_to_string(vars, n.sub) << "(" << n.expr.to_string(vars) << ")";
       return os.str();
     case FormulaKind::StrongFair:
-      os << "SF_" << tuple_str(vars, n.sub) << "(" << n.expr.to_string(vars) << ")";
+      os << "SF_" << tuple_to_string(vars, n.sub) << "(" << n.expr.to_string(vars) << ")";
       return os.str();
     case FormulaKind::Not:
       return "~(" + n.kids[0].to_string(vars) + ")";
@@ -205,7 +192,7 @@ std::string Formula::to_string(const VarTable& vars) const {
     case FormulaKind::ArrowWhile:
       return n.spec_e->name + " -> " + n.spec_m->name;
     case FormulaKind::Plus:
-      return n.spec_e->name + "_{+" + tuple_str(vars, n.sub) + "}";
+      return n.spec_e->name + "_{+" + tuple_to_string(vars, n.sub) + "}";
     case FormulaKind::Orthogonal:
       return n.spec_e->name + " _|_ " + n.spec_m->name;
   }

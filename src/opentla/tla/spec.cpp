@@ -59,25 +59,26 @@ CanonicalSpec CanonicalSpec::renamed(const std::map<VarId, VarId>& renaming,
   return out;
 }
 
+std::string tuple_to_string(const VarTable& vars, const std::vector<VarId>& tuple) {
+  std::ostringstream os;
+  os << "<<";
+  for (std::size_t i = 0; i < tuple.size(); ++i) {
+    if (i != 0) os << ", ";
+    os << vars.name(tuple[i]);
+  }
+  os << ">>";
+  return os.str();
+}
+
 std::string CanonicalSpec::to_string(const VarTable& vars) const {
   std::ostringstream os;
-  auto tuple_str = [&](const std::vector<VarId>& t) {
-    std::ostringstream ts;
-    ts << "<<";
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      if (i != 0) ts << ", ";
-      ts << vars.name(t[i]);
-    }
-    ts << ">>";
-    return ts.str();
-  };
   os << name << " == ";
-  if (has_hidden()) os << "EE " << tuple_str(hidden) << " : ";
+  if (has_hidden()) os << "EE " << tuple_to_string(vars, hidden) << " : ";
   os << "(" << init.to_string(vars) << ")";
-  os << " /\\ [][" << next.to_string(vars) << "]_" << tuple_str(sub);
+  os << " /\\ [][" << next.to_string(vars) << "]_" << tuple_to_string(vars, sub);
   for (const Fairness& f : fairness) {
-    os << " /\\ " << (f.kind == Fairness::Kind::Weak ? "WF_" : "SF_") << tuple_str(f.sub)
-       << "(" << f.action.to_string(vars) << ")";
+    os << " /\\ " << (f.kind == Fairness::Kind::Weak ? "WF_" : "SF_")
+       << tuple_to_string(vars, f.sub) << "(" << f.action.to_string(vars) << ")";
   }
   return os.str();
 }

@@ -70,6 +70,9 @@ struct CanonicalSpec {
   std::string to_string(const VarTable& vars) const;
 };
 
+/// `tuple` as TLA+ writes it, e.g. "<<i.sig, i.val>>".
+std::string tuple_to_string(const VarTable& vars, const std::vector<VarId>& tuple);
+
 /// True iff the step <s, t> changes the value of some variable in `tuple`.
 bool changes_tuple(const std::vector<VarId>& tuple, const State& s, const State& t);
 

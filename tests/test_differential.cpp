@@ -26,8 +26,9 @@
 // steps, successor sets and enabled() must equal brute force and the tree
 // ENABLED, which keeps the source split.
 //
-// A ninth axis pins the product searches behind H1/H2a and Figure 9's step
-// 2.1, which stop at the first dead pair, against the semantic layer.
+// A ninth axis pins the product searches behind H1/H2a and
+// check_orthogonality, which stop at the first dead pair, against the
+// semantic layer.
 //
 // A tenth axis pins the conjunction-aware step generator behind
 // build_composite_graph and ConstraintExplorer against generate-and-test's
@@ -36,18 +37,25 @@
 // composite build emits must satisfy each mover part's [N_k]_{v_k}: the
 // filter checks only the filter-only parts and relies on this.
 //
+// An eleventh axis pins hypothesis 2(a) through verify_composition, by
+// Propositions 3/4 on H1's product or by the freeze product, against the
+// semantic layer on random A/G instances.
+//
 // Every assertion carries the failing seed and case index so a failure is
 // reproducible in isolation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <optional>
 #include <random>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "opentla/ag/composition_theorem.hpp"
 #include "opentla/analysis/independence.hpp"
 #include "opentla/automata/freeze.hpp"
 #include "opentla/automata/prefix_machine.hpp"
@@ -259,6 +267,93 @@ TEST_P(ProductSearchHarness, TargetAndOrthogonalityVerdictsMatchTheSemantics) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProductSearchHarness, ::testing::Range(0u, kSeeds));
+
+/// Eleventh differential axis: H2a's two routes. Random A/G instances over
+/// CaseGen's universe: the goal E +> M with E writing x and M writing y, a
+/// component E1 +> M1 whose M1 writes y, and in half of the instances the
+/// component TRUE +> Disjoint(<<x>>, <<y>>). The inits are random, M1's
+/// sometimes over both variables, so Proposition 4's initial condition
+/// fails on some instances, and some initial states of R fail Init_E. H2a's verdict
+/// must decide C(E)_{+v} /\ /\_j C(M_j) => C(M) with v = <<x, y>>: "holds"
+/// means no lasso up to the bound violates it, and its counterexample,
+/// closed by stuttering, refutes it per the Oracle. Per seed, the route by
+/// Propositions 3/4 must fire on some instance and fall back on another.
+constexpr unsigned kRouteCasesPerSeed = 30;
+
+/// The states of the counterexample printed in `detail` (format_trace over
+/// CaseGen's universe <<x, y>>).
+std::vector<State> printed_counterexample(const std::string& detail) {
+  std::vector<State> states;
+  const std::size_t at = detail.find("counterexample");
+  if (at == std::string::npos) return states;
+  std::istringstream lines(detail.substr(at));
+  std::string line;
+  while (std::getline(lines, line)) {
+    int index = 0, x = 0, y = 0;
+    if (std::sscanf(line.c_str(), "  state %d: x = %d, y = %d", &index, &x, &y) == 3) {
+      states.push_back(State({Value::integer(x), Value::integer(y)}));
+    }
+  }
+  return states;
+}
+
+class H2aRouteHarness : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(H2aRouteHarness, H2aVerdictMatchesTheSemanticsOnEitherRoute) {
+  const unsigned seed = GetParam();
+  CaseGen gen(seed);
+  const VarTable& vars = gen.vars();
+  Oracle oracle(vars);
+  std::size_t by_route = 0, by_freeze = 0, refuted = 0;
+
+  for (unsigned c = 0; c < kRouteCasesPerSeed; ++c) {
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " case=" + std::to_string(c));
+    const AGSpec goal{gen.spec(gen.x(), gen.y(), "E"), gen.spec(gen.y(), gen.x(), "M")};
+    CanonicalSpec m1 = gen.spec(gen.y(), gen.x(), "M1");
+    // An Init over both variables ties x to y in R's initial states, so
+    // some of them fail Init_E while others satisfy it.
+    if (gen.coin()) m1.init = ex::lor(gen.predicate(gen.x()), gen.predicate(gen.y()));
+    std::vector<AGSpec> components = {
+        {gen.coin() ? trivial_assumption() : gen.spec(gen.x(), gen.y(), "E1"), m1}};
+    std::vector<Formula> lhs = {tf::plus(goal.assumption, {gen.x(), gen.y()}),
+                                tf::closure(components[0].guarantee)};
+    if (gen.coin()) {
+      components.push_back(property_as_ag(make_disjoint({{gen.x()}, {gen.y()}})));
+      lhs.push_back(tf::closure(components.back().guarantee));
+    }
+    const Formula claim = tf::implies(tf::land(lhs), tf::closure(goal.guarantee));
+
+    const ProofReport report = verify_composition(vars, components, goal);
+    const auto h2a = std::find_if(report.obligations.begin(), report.obligations.end(),
+                                  [](const Obligation& ob) { return ob.id == "H2a"; });
+    ASSERT_NE(h2a, report.obligations.end()) << report.to_string();
+    ASSERT_FALSE(h2a->inconclusive) << h2a->detail;
+    if (h2a->method == "product-inclusion(prop3)") {
+      ++by_route;
+    } else {
+      ASSERT_EQ(h2a->method, "product-inclusion(freeze)");
+      ++by_freeze;
+    }
+    if (h2a->discharged) {
+      BoundedValidity bv = check_validity_bounded(vars, claim, /*max_len=*/3);
+      EXPECT_TRUE(bv.valid) << h2a->method << "\n"
+                            << (bv.violation ? bv.violation->to_string(vars)
+                                             : std::string("(no witness)"));
+      continue;
+    }
+    ++refuted;
+    const std::vector<State> counterexample = printed_counterexample(h2a->detail);
+    ASSERT_FALSE(counterexample.empty()) << h2a->detail;
+    LassoBehavior witness(counterexample, counterexample.size() - 1);
+    EXPECT_FALSE(oracle.evaluate(claim, witness)) << h2a->method << "\n"
+                                                  << witness.to_string(vars);
+  }
+  EXPECT_GT(by_route, 0u);
+  EXPECT_GT(by_freeze, 0u);
+  EXPECT_GT(refuted, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, H2aRouteHarness, ::testing::Range(0u, kSeeds));
 
 /// `states` as a sorted set.
 std::vector<State> as_set(std::vector<State> states) {

@@ -139,12 +139,14 @@ std::string traced_value(const std::string& detail, int index, const std::string
 }
 
 TEST_F(DoubleQueueTest, FreezeBreakingStepIsExploredBesideAnotherMoversStep) {
-  // H2a's C(QE^dbl)_{+v} admits one step that breaks QE^dbl. The product
-  // explores such a step beside another mover's action step, where QE^dbl's
-  // subscript ranges freely, and never alone. Formula (3) at N = 1 fails H2a
-  // on a 1146-node product with a 3-state counterexample: its last step is
-  // QM^1's Enq (i.ack flips) with o.ack flipping although o.sig = o.ack,
-  // which no QE^dbl step allows.
+  // Without G, Proposition 4 does not apply, and H2a explores the freeze
+  // product. Its C(QE^dbl)_{+v} admits one step that breaks QE^dbl. The
+  // product explores such a step beside another mover's action step, where
+  // QE^dbl's subscript ranges freely, and never alone. Formula (3) at N = 1
+  // fails H2a on a 1170-node product (it starts from every initial state of
+  // C(QM^1) /\ C(QM^2), Init_QE^dbl or not) with a 3-state counterexample:
+  // its last step is QM^1's Enq (i.ack flips) with o.ack flipping although
+  // o.sig = o.ack, which no QE^dbl step allows.
   std::vector<AGSpec> components = {{sys.qe1, sys.qm1}, {sys.qe2, sys.qm2}};
   ProofReport report = verify_composition(sys.vars, components, sys.goal(), options());
   const Obligation* h2a = nullptr;
@@ -154,7 +156,8 @@ TEST_F(DoubleQueueTest, FreezeBreakingStepIsExploredBesideAnotherMoversStep) {
   ASSERT_NE(h2a, nullptr);
   EXPECT_FALSE(h2a->discharged);
   EXPECT_FALSE(h2a->inconclusive);
-  EXPECT_NE(h2a->detail.find("product nodes: 1146,"), std::string::npos) << h2a->detail;
+  EXPECT_EQ(h2a->method, "product-inclusion(freeze)");
+  EXPECT_NE(h2a->detail.find("product nodes: 1170,"), std::string::npos) << h2a->detail;
   EXPECT_NE(h2a->detail.find("counterexample (3 states)"), std::string::npos) << h2a->detail;
   for (const std::string var : {"i.ack", "o.ack"}) {
     EXPECT_NE(traced_value(h2a->detail, 1, var), traced_value(h2a->detail, 2, var)) << var;

@@ -8,6 +8,7 @@
 
 #include "opentla/ag/composition_theorem.hpp"
 #include "opentla/check/invariant.hpp"
+#include "opentla/check/orthogonality.hpp"
 #include "opentla/compose/compose.hpp"
 #include "opentla/queue/double_queue.hpp"
 
@@ -26,6 +27,36 @@ class NonInterleavingTest : public ::testing::Test {
 
   DoubleQueueSystem sys;
 };
+
+/// R = C(QM^1) /\ C(QM^2) of `s` as a composite graph: the environment's
+/// outputs <i.snd, o.ack> move freely, and the goal's buffer q is pinned.
+StateGraph r_graph(const DoubleQueueSystem& s) {
+  CanonicalSpec env_frame;
+  env_frame.name = "EnvFrame";
+  env_frame.init = ex::top();
+  env_frame.next = ex::top();
+  env_frame.sub = s.env_out;
+  const std::vector<CompositePart> parts = {{s.qm1.safety_part().unhidden(), true},
+                                            {s.qm2.safety_part().unhidden(), true},
+                                            {env_frame, false},
+                                            {make_pin(s.vars, {s.q}, "Pin"), false}};
+  return build_composite_graph(s.vars, parts, {s.env_out}, {s.q});
+}
+
+/// Whether R = C(QM^1) /\ C(QM^2) implies C(QE^dbl) _|_ C(QM^dbl) for `s`.
+bool goal_orthogonal_under_r(const DoubleQueueSystem& s) {
+  return check_orthogonality(r_graph(s), PrefixMachine(s.vars, s.dbl.env),
+                             PrefixMachine(s.vars, s.dbl.queue.safety_part()))
+      .holds;
+}
+
+/// H2a's method in `report`.
+std::string h2a_method(const ProofReport& report) {
+  for (const Obligation& ob : report.obligations) {
+    if (ob.id == "H2a") return ob.method;
+  }
+  return "";
+}
 
 TEST_F(NonInterleavingTest, JointStepsExistInTheCompleteSystem) {
   // The complete NI queue admits a step advancing both handshakes at once.
@@ -72,21 +103,22 @@ TEST_F(NonInterleavingTest, InterleavingVersionStillFailsWithoutG) {
 TEST_F(NonInterleavingTest, OrthogonalityHoldsForNoninterleavingWithoutG) {
   // The deeper reason formula (3) composes noninterleaved: the NI
   // assumption and guarantee are orthogonal even WITHOUT the Disjoint
-  // conjunct — each spec tolerates the other's simultaneous moves (joint
-  // steps are its own actions), so no single step falsifies both. The
-  // Proposition 3/4 route therefore discharges H2a here too, with its
-  // semantic step 2.1 succeeding where the interleaving representation's
-  // fails (test Prop3Route.OrthogonalityFailsWithoutG).
-  Prop3Route route;
-  route.env_outputs = {sys.i.sig, sys.i.val, sys.o.ack};
-  route.guarantee_outputs = {sys.i.ack, sys.o.sig, sys.o.val};
+  // conjunct. Each spec tolerates the other's simultaneous moves (joint
+  // steps are its own actions), so no step of R falsifies both; the
+  // interleaving specs are not orthogonal without G (next test).
+  EXPECT_TRUE(goal_orthogonal_under_r(sys));
+  // Proposition 4 sees no Disjoint among the components, so H2a explores
+  // the freeze product, and it discharges there.
   std::vector<AGSpec> components = {{sys.qe1, sys.qm1}, {sys.qe2, sys.qm2}};
-  std::vector<Obligation> obs =
-      discharge_h2a_via_prop3(sys.vars, components, sys.goal(), route, options());
-  for (const Obligation& ob : obs) {
-    EXPECT_TRUE(ob.discharged) << ob.id << ": " << ob.detail;
-  }
-  EXPECT_EQ(obs.back().id, "H2a(via Prop3)");
+  ProofReport report = verify_composition(sys.vars, components, sys.goal(), options());
+  EXPECT_EQ(h2a_method(report), "product-inclusion(freeze)");
+  EXPECT_TRUE(report.all_discharged()) << report.to_string();
+}
+
+TEST_F(NonInterleavingTest, InterleavingSpecsAreNotOrthogonalWithoutG) {
+  // Without G, R admits a step that falsifies the interleaving QE^dbl and
+  // QM^dbl at once.
+  EXPECT_FALSE(goal_orthogonal_under_r(make_double_queue(1, 2)));
 }
 
 TEST_F(NonInterleavingTest, NiCompositionAlsoHoldsWithG) {
@@ -95,6 +127,8 @@ TEST_F(NonInterleavingTest, NiCompositionAlsoHoldsWithG) {
   ProofReport report =
       verify_composition(sys.vars, sys.components(), sys.goal(), options());
   EXPECT_TRUE(report.all_discharged()) << report.to_string();
+  // With G, Proposition 4 applies and H2a is a target on H1's product.
+  EXPECT_EQ(h2a_method(report), "product-inclusion(prop3)");
 }
 
 TEST_F(NonInterleavingTest, JointBufferUpdatePreservesTheBound) {

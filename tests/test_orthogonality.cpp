@@ -31,16 +31,20 @@ class OrthogonalityTest : public ::testing::Test {
     return s;
   }
 
+  // x and y start at 0 and change freely.
+  CanonicalSpec frame() const {
+    CanonicalSpec f;
+    f.name = "Frame";
+    f.init = ex::land(ex::eq(ex::var(x), ex::integer(0)), ex::eq(ex::var(y), ex::integer(0)));
+    f.next = ex::top();
+    f.sub = {x, y};
+    return f;
+  }
+
   // A generator that moves x and y freely, one at a time (interleaved) or
   // together, depending on `interleaved`.
   StateGraph generator(bool interleaved) {
-    CanonicalSpec frame;
-    frame.name = "Frame";
-    frame.init = ex::land(ex::eq(ex::var(x), ex::integer(0)),
-                          ex::eq(ex::var(y), ex::integer(0)));
-    frame.next = ex::top();
-    frame.sub = {x, y};
-    std::vector<CompositePart> parts = {{frame, false}};
+    std::vector<CompositePart> parts = {{frame(), false}};
     if (interleaved) parts.push_back({make_disjoint({{x}, {y}}), false});
     std::vector<std::vector<VarId>> free_tuples =
         interleaved ? std::vector<std::vector<VarId>>{{x}, {y}}
@@ -126,10 +130,11 @@ TEST_F(OrthogonalityTest, AgreesWithOracleOnAllLassos) {
 }
 
 TEST_F(OrthogonalityTest, Prop4SyntacticAgreesWithSemanticCheck) {
-  // Under Disjoint(x, y), Proposition 4 concludes orthogonality; the
-  // semantic check on the interleaved generator confirms it.
-  Obligation prop4 = prop4_orthogonality(vars, ex_spec, {x}, my_spec, {y});
-  EXPECT_TRUE(prop4);
+  // For R = Frame /\ Disjoint(x, y), the interleaved generator, Proposition 4
+  // concludes orthogonality; the semantic check confirms it.
+  Obligation prop4 =
+      prop4_orthogonality(vars, ex_spec, my_spec, {frame(), make_disjoint({{x}, {y}})}, {});
+  EXPECT_TRUE(prop4) << prop4.detail;
   StateGraph g = generator(true);
   PrefixMachine e(vars, ex_spec);
   PrefixMachine m(vars, my_spec);

@@ -1,6 +1,6 @@
 // Tests for Propositions 1-4 as reduction rules (opentla/ag/propositions)
-// and the paper-route discharge of hypothesis 2(a) via Propositions 3 and 4
-// (Figure 9, steps 2.1/2.2).
+// and for hypothesis 2(a)'s discharge by Propositions 3 and 4 (Figure 9)
+// inside verify_composition.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,8 @@
 #include "opentla/compose/compose.hpp"
 #include "opentla/queue/double_queue.hpp"
 #include "opentla/queue/queue_spec.hpp"
+#include "opentla/semantics/enumerate.hpp"
+#include "opentla/tla/disjoint.hpp"
 
 namespace opentla {
 namespace {
@@ -82,51 +84,139 @@ TEST(Prop3, SideConditionRequiresVarsInFreezeTuple) {
 
 TEST(Prop4, SideConditionsOnQueueComponents) {
   DoubleQueueSystem sys = make_double_queue(1, 2);
-  // QE^dbl (outputs <i.snd, o.ack>) vs QM^dbl (outputs <i.ack, o.snd>).
-  std::vector<VarId> m_out = {sys.i.ack, sys.o.sig, sys.o.val};
-  Obligation ok = prop4_orthogonality(sys.vars, sys.dbl.env, sys.env_out,
-                                      sys.dbl.queue.safety_part(), m_out);
+  // R = C(G) /\ C(QM^1) /\ C(QM^2). G's first tuple is QE^dbl's output
+  // <i.snd, o.ack>, and QM^dbl's <i.ack, o.snd> lies in the other two.
+  std::vector<CanonicalSpec> r = {sys.g, sys.qm1.safety_part(), sys.qm2.safety_part()};
+  const std::vector<VarId> pinned = {sys.q1, sys.q2, sys.q};
+  Obligation ok = prop4_orthogonality(sys.vars, sys.dbl.env, sys.dbl.queue, r, pinned);
   EXPECT_TRUE(ok) << ok.detail;
-  // Sharing an output variable violates the interleaving shape.
-  std::vector<VarId> overlapping = {sys.i.sig, sys.o.sig, sys.o.val};
-  EXPECT_FALSE(prop4_orthogonality(sys.vars, sys.dbl.env, sys.env_out,
-                                   sys.dbl.queue.safety_part(), overlapping));
+  EXPECT_EQ(ok.id, "Prop4[QE^dbl _|_ QM^dbl]");
+  // Without G no Disjoint keeps the output tuples apart.
+  r.erase(r.begin());
+  Obligation no_g = prop4_orthogonality(sys.vars, sys.dbl.env, sys.dbl.queue, r, pinned);
+  EXPECT_FALSE(no_g);
+  EXPECT_NE(no_g.detail.find("no Disjoint"), std::string::npos) << no_g.detail;
+  EXPECT_NE(no_g.detail.find("<<i.sig, i.val, o.ack>>"), std::string::npos) << no_g.detail;
+  // A Disjoint whose tuple meets both output tuples does not separate them.
+  r.push_back(make_disjoint({{sys.i.sig, sys.i.ack}, {sys.o.sig}}, "Coarse"));
+  EXPECT_FALSE(prop4_orthogonality(sys.vars, sys.dbl.env, sys.dbl.queue, r, pinned));
+}
+
+/// x, y in {0, 1}; E = (x = 0) /\ [][FALSE]_x, M = (y = 0) /\ [][FALSE]_y
+/// and M1 = (x # 0 \/ y = 0) /\ [][FALSE]_y. Under M1, x = 1, y = 1 is an
+/// initial state where E and M both already fail.
+struct FrozenBits {
+  FrozenBits()
+      : x(vars.declare("x", range_domain(0, 1))), y(vars.declare("y", range_domain(0, 1))) {
+    e = frozen(x, ex::eq(ex::var(x), ex::integer(0)), "E");
+    m = frozen(y, ex::eq(ex::var(y), ex::integer(0)), "M");
+    m1 = frozen(y, ex::lor(ex::neq(ex::var(x), ex::integer(0)), ex::eq(ex::var(y), ex::integer(0))),
+                "M1");
+  }
+
+  static CanonicalSpec frozen(VarId v, Expr init, std::string name) {
+    CanonicalSpec s;
+    s.name = std::move(name);
+    s.init = std::move(init);
+    s.next = ex::bottom();
+    s.sub = {v};
+    return s;
+  }
+
+  VarTable vars;
+  VarId x, y;
+  CanonicalSpec e, m, m1;
+};
+
+TEST(Prop4, InitialConditionIsCheckedOnRsInitialStates) {
+  // Disjoint(<<x>>, <<y>>) keeps the output tuples apart. Under M itself
+  // every initial state satisfies Init_M; under M1, R starts in x = 1,
+  // y = 1, where no step is needed to falsify both.
+  const FrozenBits b;
+  const CanonicalSpec d = make_disjoint({{b.x}, {b.y}});
+  EXPECT_TRUE(prop4_orthogonality(b.vars, b.e, b.m, {d, b.m}, {}));
+  Obligation bad = prop4_orthogonality(b.vars, b.e, b.m, {d, b.m1}, {});
+  EXPECT_FALSE(bad);
+  EXPECT_NE(bad.detail.find("x = 1, y = 1"), std::string::npos) << bad.detail;
+}
+
+/// The obligation `id` of `report`, or nullptr.
+const Obligation* find(const ProofReport& report, const std::string& id) {
+  for (const Obligation& ob : report.obligations) {
+    if (ob.id == id) return &ob;
+  }
+  return nullptr;
 }
 
 TEST(Prop3Route, DischargesH2aForTheDoubleQueue) {
+  // Formula (4): Proposition 4 applies under G, so H2a is Figure 9's step
+  // 2.2, a target on H1's product.
   DoubleQueueSystem sys = make_double_queue(1, 2);
-  Prop3Route route;
-  route.env_outputs = sys.env_out;                       // <i.snd, o.ack>
-  route.guarantee_outputs = {sys.i.ack, sys.o.sig, sys.o.val};  // <i.ack, o.snd>
   CompositionOptions opts;
   opts.goal_witness = {{"q", sys.qbar}};
-  std::vector<Obligation> obs =
-      discharge_h2a_via_prop3(sys.vars, sys.components(), sys.goal(), route, opts);
-  ASSERT_FALSE(obs.empty());
-  for (const Obligation& ob : obs) {
-    EXPECT_TRUE(ob.discharged) << ob.id << ": " << ob.detail;
-  }
-  // The route's steps are present: side conditions, 2.1, 2.2, conclusion.
-  EXPECT_EQ(obs.back().id, "H2a(via Prop3)");
+  ProofReport report = verify_composition(sys.vars, sys.components(), sys.goal(), opts);
+  EXPECT_TRUE(report.all_discharged()) << report.to_string();
+  const Obligation* prop4 = find(report, "Prop4[QE^dbl _|_ QM^dbl]");
+  ASSERT_NE(prop4, nullptr) << report.to_string();
+  EXPECT_TRUE(prop4->discharged);
+  const Obligation* h1 = find(report, "H1[QE^1]");
+  const Obligation* h2a = find(report, "H2a");
+  ASSERT_NE(h1, nullptr);
+  ASSERT_NE(h2a, nullptr);
+  EXPECT_EQ(h2a->method, "product-inclusion(prop3)");
+  EXPECT_NE(h2a->detail.find("product nodes: 670,"), std::string::npos) << h2a->detail;
+  EXPECT_NE(h1->detail.find("product nodes: 670,"), std::string::npos) << h1->detail;
 }
 
-TEST(Prop3Route, OrthogonalityFailsWithoutG) {
-  // Without the Disjoint component among the M_j, R admits a step that
-  // falsifies QE^dbl and QM^dbl simultaneously, so step 2.1 must fail.
+TEST(Prop3Route, FallsBackToTheFreezeProductWithoutG) {
+  // Formula (3): no Disjoint keeps QE^dbl's and QM^dbl's outputs apart, so
+  // Proposition 4 does not apply and H2a explores the freeze product,
+  // naming the failed condition after its counts.
   DoubleQueueSystem sys = make_double_queue(1, 2);
   std::vector<AGSpec> components = {{sys.qe1, sys.qm1}, {sys.qe2, sys.qm2}};
-  Prop3Route route;
-  route.env_outputs = sys.env_out;
-  route.guarantee_outputs = {sys.i.ack, sys.o.sig, sys.o.val};
   CompositionOptions opts;
   opts.goal_witness = {{"q", sys.qbar}};
-  std::vector<Obligation> obs =
-      discharge_h2a_via_prop3(sys.vars, components, sys.goal(), route, opts);
-  bool failed_21 = false;
-  for (const Obligation& ob : obs) {
-    if (ob.id == "2.1" && !ob.discharged) failed_21 = true;
+  ProofReport report = verify_composition(sys.vars, components, sys.goal(), opts);
+  for (const Obligation& ob : report.obligations) {
+    EXPECT_NE(ob.id.rfind("Prop4", 0), 0u) << ob.id;
   }
-  EXPECT_TRUE(failed_21);
+  const Obligation* h2a = find(report, "H2a");
+  ASSERT_NE(h2a, nullptr);
+  EXPECT_EQ(h2a->method, "product-inclusion(freeze)");
+  EXPECT_EQ(h2a->detail.rfind("product nodes: ", 0), 0u) << h2a->detail;
+  EXPECT_EQ(h2a->detail.find("\nnot by Propositions 3/4: no Disjoint"), h2a->detail.find('\n'))
+      << h2a->detail;
+}
+
+TEST(Prop3Route, FreezeFallbackStartsFromRsInitialStates) {
+  // C(E)_{+v} holds on a behavior that fails Init_E and never changes v, so
+  // the freeze product must start from every initial state of R, not only
+  // from those satisfying Init_E. Under the one component TRUE +> M1,
+  // x = 1, y = 1 forever satisfies C(E)_{+v} /\ C(M1) and falsifies C(M);
+  // (TRUE +> M1) => (E +> M) fails on it too.
+  const FrozenBits b;
+  const AGSpec goal{b.e, b.m};
+  std::vector<AGSpec> components = {{trivial_assumption(), b.m1}};
+  const Formula conclusion = tf::implies(components[0].to_formula(), goal.to_formula());
+  ASSERT_FALSE(check_validity_bounded(b.vars, conclusion, /*max_len=*/1).valid);
+
+  auto expect_refuted = [&](const ProofReport& report, const std::string& refusal) {
+    EXPECT_FALSE(report.all_discharged()) << report.to_string();
+    const Obligation* h2a = find(report, "H2a");
+    ASSERT_NE(h2a, nullptr);
+    EXPECT_FALSE(h2a->discharged);
+    EXPECT_FALSE(h2a->inconclusive);
+    EXPECT_EQ(h2a->method, "product-inclusion(freeze)");
+    EXPECT_NE(h2a->detail.find(refusal), std::string::npos) << h2a->detail;
+    EXPECT_NE(h2a->detail.find("counterexample (1 states):\n  state 0: x = 1, y = 1"),
+              std::string::npos)
+        << h2a->detail;
+  };
+  expect_refuted(verify_composition(b.vars, components, goal), "no Disjoint");
+  // With TRUE +> Disjoint(<<x>>, <<y>>), Proposition 4's initial condition
+  // refuses the route first.
+  components.push_back(property_as_ag(make_disjoint({{b.x}, {b.y}})));
+  expect_refuted(verify_composition(b.vars, components, goal), "satisfies neither Init");
 }
 
 TEST(HiddenAssumption, TheoremHandlesHiddenVariablesInE) {

@@ -184,8 +184,8 @@ std::string slurp(const std::string& path) {
 StateGraph explore(const ParsedModule& mod, const ExploreOptions& eopts) {
   // An open module (one whose subscript does not cover every declared
   // variable — e.g. an environment assumption like QE1) leaves the rest
-  // unconstrained: explore them as free environment moves, exactly like
-  // the composition verifier's EnvFrame.
+  // unconstrained: explore them as free environment moves, covered by a
+  // frame part that constrains nothing.
   CanonicalSpec spec = mod.spec.unhidden();
   std::vector<char> covered(mod.vars->size(), 0);
   for (VarId v : spec.sub) covered[v] = 1;
