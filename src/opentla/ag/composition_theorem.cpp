@@ -1,7 +1,8 @@
 #include "opentla/ag/composition_theorem.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 
@@ -293,53 +294,71 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
   // inconclusive skips rather than evaluated against a breached budget.
   auto budget_stopped = [&] { return opts.budget != nullptr && opts.budget->stopped(); };
 
-  // --- H1: |= C(E) /\ /\_j C(M_j) => E_i ---
-  // The product of C(E) /\ R also serves H2a's route; it is released
-  // before the next exploration.
-  std::optional<ConstraintExplorer> product;
+  // --- H1: |= C(E) /\ /\_j C(M_j) => E_i, and H2a by Propositions 3/4 ---
+  // One walk of H1's product checks every target on it: each nontrivial
+  // E_i, in component order, and C(M) when H2a takes the route. The
+  // product's build and that walk are charged to the shared build line
+  // rather than to any one target; the product is released right after.
+  const PrefixMachine goal_closure(vars, goal_p1.closure);
+  const bool h2a_on_product = h2a_route_refused.empty();
+  std::vector<std::unique_ptr<PrefixMachine>> h1_targets(components.size());
+  std::vector<const SafetyMachine*> walk_targets;
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    if (is_trivial_spec(components[i].assumption)) continue;
+    h1_targets[i] = std::make_unique<PrefixMachine>(vars, components[i].assumption);
+    walk_targets.push_back(h1_targets[i].get());
+  }
+  if (h2a_on_product) walk_targets.push_back(&goal_closure);
+  // One verdict per walk target; empty when the budget stopped the proof
+  // before the walk.
+  std::vector<ConstraintExplorer::Verdict> walk;
+  std::size_t product_nodes = 0;
   {
     OPENTLA_OBS_SPAN("fig9:2.1");
     OPENTLA_OBS_PHASE("fig9:2.1");
-    std::vector<std::shared_ptr<const SafetyMachine>> constraints;
-    constraints.push_back(std::make_shared<PrefixMachine>(vars, goal.assumption));
-    for (const CanonicalSpec& c : closures) {
-      constraints.push_back(std::make_shared<PrefixMachine>(vars, c));
-    }
-    // Every target on this one product (each H1[E_i], and H2a by the
-    // route) shares its build, so the build is charged to the proof
-    // rather than to any one target.
-    {
+    if (!walk_targets.empty()) {
+      std::vector<std::shared_ptr<const SafetyMachine>> constraints;
+      constraints.push_back(std::make_shared<PrefixMachine>(vars, goal.assumption));
+      for (const CanonicalSpec& c : closures) {
+        constraints.push_back(std::make_shared<PrefixMachine>(vars, c));
+      }
       ObligationTimer timer(report.h1_build_millis);
-      product.emplace(vars, constraints, build_movers(), h1_init, normalize,
-                      explore_options(opts));
+      const ConstraintExplorer product(vars, constraints, build_movers(), h1_init, normalize,
+                                       explore_options(opts));
+      product_nodes = product.num_nodes();
+      // A budget that tripped while a complete product was built stops the
+      // proof before the walk; on a partial product the walk runs and its
+      // "holds" verdicts come back partial.
+      if (!budget_stopped() || product.stop_reason() != run::StopReason::kCompleted) {
+        walk = product.check_targets(walk_targets);
+      }
     }
+    // H1 ids name the assumption; where several components share a name,
+    // each of them also names its position, so every id is unique.
+    std::map<std::string, std::size_t> name_count;
+    for (const AGSpec& c : components) ++name_count[c.assumption.name];
+    std::size_t next_verdict = 0;
     for (std::size_t i = 0; i < components.size(); ++i) {
       OPENTLA_OBS_SPAN("fig9:2.1." + std::to_string(i + 1));
+      const std::string& name = components[i].assumption.name;
       Obligation ob;
-      ob.id = "H1[" + components[i].assumption.name + "]";
-      ob.description = "C(" + goal.assumption.name + ") /\\ /\\_j C(M_j) => " +
-                       components[i].assumption.name;
-      if (is_trivial_spec(components[i].assumption)) {
+      ob.id = "H1[" + name + "]";
+      if (name_count[name] > 1) ob.id += "#" + std::to_string(i + 1);
+      ob.description = "C(" + goal.assumption.name + ") /\\ /\\_j C(M_j) => " + name;
+      if (h1_targets[i] == nullptr) {
         ob.method = "trivial";
         ob.discharged = true;
         report.add(std::move(ob));
         continue;
       }
-      if (budget_stopped() && product->stop_reason() == run::StopReason::kCompleted) {
-        // The product itself is complete but the budget tripped meanwhile
-        // (e.g. deadline during an earlier target): skip the remaining
-        // targets instead of starting new pair searches.
+      if (walk.empty()) {
         report.add(skipped_obligation(std::move(ob.id), std::move(ob.description),
                                       *opts.budget));
         continue;
       }
+      const ConstraintExplorer::Verdict& verdict = walk[next_verdict++];
       ob.method = "product-inclusion";
-      ConstraintExplorer::Verdict verdict = [&] {
-        ObligationTimer timer(ob);
-        PrefixMachine target(vars, components[i].assumption);
-        return product->check_target(target);
-      }();
-      ob.detail = "product nodes: " + std::to_string(product->num_nodes()) +
+      ob.detail = "product nodes: " + std::to_string(product_nodes) +
                   ", pairs: " + std::to_string(verdict.pairs_visited);
       adopt_verdict(ob, verdict.holds, verdict.stop_reason);
       if (!verdict.holds) ob.detail += "\n" + short_trace(vars, verdict.counterexample);
@@ -351,7 +370,7 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
   const std::string h2a_description = "C(" + goal.assumption.name +
                                       ")_{+v} /\\ /\\_j C(M_j) => C(" +
                                       goal.guarantee.name + ")";
-  if (budget_stopped()) {
+  if (h2a_on_product ? walk.empty() : budget_stopped()) {
     report.add(skipped_obligation("H2a", h2a_description, *opts.budget));
   } else {
     Obligation ob;
@@ -361,15 +380,13 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
       OPENTLA_OBS_SPAN("fig9:2.2");
       OPENTLA_OBS_PHASE("fig9:2.2");
       ObligationTimer timer(ob);
-      const PrefixMachine target(vars, goal_p1.closure);
       ConstraintExplorer::Verdict verdict;
-      if (h2a_route_refused.empty()) {
-        // Proposition 3: C(E) /\ R => C(M), on H1's product.
+      if (h2a_on_product) {
+        // Proposition 3: C(E) /\ R => C(M), checked by H1's walk.
         ob.method = "product-inclusion(prop3)";
-        verdict = product->check_target(target);
-        ob.detail = "product nodes: " + std::to_string(product->num_nodes());
+        verdict = walk.back();
+        ob.detail = "product nodes: " + std::to_string(product_nodes);
       } else {
-        product.reset();
         ob.method = "product-inclusion(freeze)";
         std::vector<std::shared_ptr<const SafetyMachine>> constraints;
         constraints.push_back(std::make_shared<FreezeMachine>(
@@ -379,19 +396,16 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
         }
         const ConstraintExplorer freeze(vars, constraints, build_movers(), r_init, normalize,
                                         explore_options(opts));
-        verdict = freeze.check_target(target);
+        verdict = freeze.check_target(goal_closure);
         ob.detail = "product nodes: " + std::to_string(freeze.num_nodes());
       }
       ob.detail += ", pairs: " + std::to_string(verdict.pairs_visited);
       adopt_verdict(ob, verdict.holds, verdict.stop_reason);
-      if (!h2a_route_refused.empty()) {
-        ob.detail += "\nnot by Propositions 3/4: " + h2a_route_refused;
-      }
+      if (!h2a_on_product) ob.detail += "\nnot by Propositions 3/4: " + h2a_route_refused;
       if (!verdict.holds) ob.detail += "\n" + short_trace(vars, verdict.counterexample);
     }
     report.add(std::move(ob));
   }
-  product.reset();
 
   // --- H2b: |= E /\ /\_j M_j => M ---
   if (budget_stopped()) {

@@ -4,6 +4,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "opentla/analysis/footprint.hpp"
 #include "opentla/expr/eval.hpp"
 #include "opentla/obs/obs.hpp"
 #include "opentla/state/state_space.hpp"
@@ -41,6 +42,15 @@ PrefixMachine::PrefixMachine(const VarTable& vars, CanonicalSpec spec)
     }
     cd.hidden_sched = schedule_residual(cd.parts.residual_needs, cd.hidden_free);
     disjuncts_.push_back(std::move(cd));
+  }
+  stutter_keeps_config_ = spec_.hidden.empty();
+  if (!stutter_keeps_config_) {
+    const std::vector<std::vector<VarId>> must =
+        analysis::must_change_by_disjunct(spec_.next, vars);
+    stutter_keeps_config_ = std::all_of(must.begin(), must.end(), [&](const auto& m) {
+      return std::find_first_of(m.begin(), m.end(), visible_sub_.begin(),
+                                visible_sub_.end()) != m.end();
+    });
   }
 }
 
@@ -124,9 +134,12 @@ void PrefixMachine::hidden_successors(const State& s_full, const State& t,
 }
 
 Value PrefixMachine::step(const Value& config, const State& s, const State& t) const {
+  const bool visible_stutter = !changes_tuple(visible_sub_, s, t);
+  // The stutter shortcut (stutter_keeps_config): only configurations that
+  // are still expanded count toward ConfigsExpanded.
+  if (visible_stutter && stutter_keeps_config_) return config;
   OPENTLA_OBS_COUNT_N(ConfigsExpanded, config.length());
   std::vector<Value> next_assignments;
-  const bool visible_stutter = !changes_tuple(visible_sub_, s, t);
   for (const Value& h : config.as_tuple()) {
     // Stuttering branch of [N]_v: the whole subscript (visible and hidden
     // parts) is unchanged, which the choice h' = h realizes.

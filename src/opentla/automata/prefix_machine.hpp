@@ -67,11 +67,22 @@ class PrefixMachine final : public SafetyMachine {
   PrefixMachine(const VarTable& vars, CanonicalSpec spec);
 
   Value initial(const State& s) const override;
+  /// A visible stutter (t agrees with s on the visible subscript) returns
+  /// `config` itself, composing no state and evaluating nothing, when
+  /// stutter_keeps_config() holds.
   Value step(const Value& config, const State& s, const State& t) const override;
   bool alive(const Value& config) const override;
   std::string name() const override { return spec_.name; }
 
   const CanonicalSpec& spec() const { return spec_; }
+  /// Whether a visible stutter always returns the configuration it was
+  /// given, decided at construction. It does when the spec has no hidden
+  /// variable (the stuttering branch keeps <<>>, and an N-step can only
+  /// add <<>> again), or when every disjunct of N must change a visible
+  /// subscript variable (analysis::must_change_by_disjunct), so that no
+  /// N-step is a visible stutter. Like must_change, the proof ranges over
+  /// the declared domains, which hold every state an exploration reaches.
+  bool stutter_keeps_config() const { return stutter_keeps_config_; }
 
  private:
   struct Disjunct {
@@ -93,6 +104,7 @@ class PrefixMachine final : public SafetyMachine {
   std::vector<VarId> visible_sub_;    // subscript vars that are not hidden
   std::vector<VarId> hidden_sub_;     // subscript vars that are hidden
   std::vector<Disjunct> disjuncts_;
+  bool stutter_keeps_config_ = false;
 };
 
 /// Encodes a set of hidden-assignment tuples as a configuration Value.

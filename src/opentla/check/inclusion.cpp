@@ -1,8 +1,8 @@
 #include "opentla/check/inclusion.hpp"
 
 #include <algorithm>
-#include <initializer_list>
 #include <optional>
+#include <string>
 
 #include "opentla/expr/analysis.hpp"
 #include "opentla/obs/obs.hpp"
@@ -31,41 +31,64 @@ namespace {
 /// configurations, state ids) are never enumerated; the one-value domain
 /// only names the slot, and the state store writes any other value there
 /// out in full (an escaped slot, fingerprint.hpp).
-VarTable with_slots(VarTable vars, std::initializer_list<const char*> names) {
-  for (const char* name : names) vars.declare(name, Domain({Value::integer(0)}));
+VarTable with_slots(VarTable vars, const std::vector<std::string>& names) {
+  for (const std::string& name : names) vars.declare(name, Domain({Value::integer(0)}));
   return vars;
 }
 
 }  // namespace
 
-DeadPairSearch find_dead_pair(const StateGraph& graph, const SafetyMachine& machine,
+DeadPairSearch find_dead_pair(const StateGraph& graph,
+                              const std::vector<const SafetyMachine*>& machines,
                               const std::function<State(StateId)>& state_of,
                               ExploreOptions opts) {
-  const VarTable pair_vars = with_slots(VarTable(), {"__state", "__config"});
-  auto pair = [](StateId id, Value config) {
-    return State({Value::integer(id), std::move(config)});
+  const std::size_t k = machines.size();
+  std::vector<std::string> slots = {"__state"};
+  for (std::size_t i = 0; i < k; ++i) slots.push_back("__config" + std::to_string(i));
+  const VarTable pair_vars = with_slots(VarTable(), slots);
+
+  // first_dead[i]: the first pair emitted with machine i dead. From then on
+  // machine i is settled: no pair steps it again, and every pair emitted
+  // later carries that pair's dead configuration in its slot.
+  std::vector<std::optional<State>> first_dead(k);
+  std::size_t live = k;  // machines not yet settled
+  const auto note_dead = [&](const State& p) {
+    for (std::size_t i = 0; i < k; ++i) {
+      if (!first_dead[i] && !machines[i]->alive(p[1 + i])) {
+        first_dead[i] = p;
+        --live;
+      }
+    }
   };
 
-  std::optional<State> dead;  // the first dead pair emitted
   std::vector<State> inits;
   for (StateId id : graph.initial()) {
-    inits.push_back(pair(id, machine.initial(state_of(id))));
-    if (!machine.alive(inits.back()[1])) {
-      dead = inits.back();
-      break;
+    if (live == 0) break;
+    const State s = state_of(id);
+    std::vector<Value> values = {Value::integer(id)};
+    for (std::size_t i = 0; i < k; ++i) {
+      values.push_back(first_dead[i] ? (*first_dead[i])[1 + i] : machines[i]->initial(s));
     }
+    inits.emplace_back(std::move(values));
+    note_dead(inits.back());
   }
   auto succ = [&](const State& p, const std::function<void(const State&)>& emit) {
-    // Only the first dead pair is ever emitted, and from then on nothing
-    // expands: it is a sink, and the BFS drains without growing.
-    if (dead) return;
+    // Once every machine has died nothing expands, and the BFS drains
+    // without growing.
+    if (live == 0) return;
     const StateId u = static_cast<StateId>(p[0].as_int());
     const State s = state_of(u);
     for (StateId v : graph.successors(u)) {
-      State next = pair(v, machine.step(p[1], s, state_of(v)));
-      if (!machine.alive(next[1])) dead = next;
+      const State t = state_of(v);
+      std::vector<Value> values = {Value::integer(v)};
+      for (std::size_t i = 0; i < k; ++i) {
+        values.push_back(first_dead[i] ? (*first_dead[i])[1 + i]
+                                       : machines[i]->step(p[1 + i], s, t));
+      }
+      const State next(std::move(values));
+      note_dead(next);
       emit(next);
-      if (dead) return;
+      if (live == 0) return;
     }
   };
   opts.threads = 1;
@@ -74,13 +97,16 @@ DeadPairSearch find_dead_pair(const StateGraph& graph, const SafetyMachine& mach
   OPENTLA_OBS_COUNT_N(InclusionPairs, pairs.num_states());
 
   DeadPairSearch result;
+  result.paths.resize(k);
   result.pairs = pairs.num_states();
   result.stop_reason = pairs.stop_reason();
-  // A dead pair refused by the max_states cap is not in the graph.
-  const StateId goal = dead ? pairs.store().find(*dead) : StateStore::kNone;
-  if (goal != StateStore::kNone) {
+  for (std::size_t i = 0; i < k; ++i) {
+    // A dead pair refused by the max_states cap is not in the graph; the
+    // walk stops at that expansion, so no later pair equals it.
+    const StateId goal = first_dead[i] ? pairs.store().find(*first_dead[i]) : StateStore::kNone;
+    if (goal == StateStore::kNone) continue;
     for (StateId p : pairs.shortest_path_to([&](StateId p) { return p == goal; })) {
-      result.path.push_back(static_cast<StateId>(pairs.state(p)[0].as_int()));
+      result.paths[i].push_back(static_cast<StateId>(pairs.state(p)[0].as_int()));
     }
   }
   return result;
@@ -186,20 +212,29 @@ State ConstraintExplorer::visible(StateId id) const {
   return State(std::move(values));
 }
 
-ConstraintExplorer::Verdict ConstraintExplorer::check_target(const SafetyMachine& target) const {
-  OPENTLA_OBS_SPAN("ConstraintExplorer.check_target");
+std::vector<ConstraintExplorer::Verdict> ConstraintExplorer::check_targets(
+    const std::vector<const SafetyMachine*>& targets) const {
+  OPENTLA_OBS_SPAN("ConstraintExplorer.target_walk");
   OPENTLA_OBS_PHASE("check.inclusion");
   const DeadPairSearch search =
-      find_dead_pair(graph_, target, [&](StateId id) { return visible(id); }, opts_);
-  Verdict verdict;
-  verdict.target_name = target.name();
-  verdict.holds = search.path.empty();
-  for (StateId id : search.path) verdict.counterexample.push_back(visible(id));
-  verdict.pairs_visited = search.pairs;
+      find_dead_pair(graph_, targets, [&](StateId id) { return visible(id); }, opts_);
   // A partial product makes every "holds" verdict on it partial too.
-  verdict.stop_reason =
+  const run::StopReason stop =
       stop_reason() != run::StopReason::kCompleted ? stop_reason() : search.stop_reason;
-  return verdict;
+  std::vector<Verdict> verdicts;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    Verdict& verdict = verdicts.emplace_back();
+    verdict.target_name = targets[i]->name();
+    verdict.holds = search.paths[i].empty();
+    for (StateId id : search.paths[i]) verdict.counterexample.push_back(visible(id));
+    verdict.pairs_visited = search.pairs;
+    verdict.stop_reason = stop;
+  }
+  return verdicts;
+}
+
+ConstraintExplorer::Verdict ConstraintExplorer::check_target(const SafetyMachine& target) const {
+  return std::move(check_targets({&target}).front());
 }
 
 }  // namespace opentla

@@ -33,10 +33,11 @@
 // belongs to some mover's subscript.
 //
 // R holds iff its machine stays alive along every reachable product path.
-// find_dead_pair decides that by exploring the pairs <product node, R's
-// configuration> as one more StateGraph; check/orthogonality, a library
-// checker the verifier does not call, runs the same search with a machine
-// for E _|_ M.
+// find_dead_pair decides that for every target at once, in one walk: it
+// explores the pairs <product node, each target's configuration> as one
+// more StateGraph, and each target that dies gets a shortest path to its
+// own first dead pair. check/orthogonality, a library checker the verifier
+// does not call, runs the same walk with one machine for E _|_ M.
 
 #pragma once
 
@@ -78,29 +79,34 @@ struct Mover {
 Mover mover_from_spec(const CanonicalSpec& spec, int constraint_index,
                       const std::vector<VarId>& normalized);
 
-/// A dead-pair search's answer (see find_dead_pair).
+/// A dead-pair walk's answer (see find_dead_pair).
 struct DeadPairSearch {
-  /// Graph state ids from an initial state to one after which the machine
-  /// is dead, along a shortest such path; empty if no dead pair was found.
-  std::vector<StateId> path;
-  /// Pairs <graph state, machine configuration> the search interned.
+  /// Per machine, in the order given: graph state ids from an initial state
+  /// to one after which that machine is dead, along a shortest such path;
+  /// empty if the walk found no dead pair for it.
+  std::vector<std::vector<StateId>> paths;
+  /// Pairs <graph state, configurations> the walk interned.
   std::size_t pairs = 0;
-  /// kCompleted unless opts.max_states or opts.budget cut the search short.
+  /// kCompleted unless opts.max_states or opts.budget cut the walk short.
   run::StopReason stop_reason = run::StopReason::kCompleted;
 };
 
-/// Runs `machine` along every path of `graph`, reading `state_of(id)` for
-/// graph state `id`, by exploring the pairs <state id, configuration> as a
-/// StateGraph of their own. A dead configuration is a sink, and once the
-/// first dead pair is emitted nothing else expands; because that early exit
-/// depends on expansion order, the search is serial whatever opts.threads
-/// says. opts.max_states caps the pairs, and opts.budget is polled.
-DeadPairSearch find_dead_pair(const StateGraph& graph, const SafetyMachine& machine,
+/// Runs every machine of `machines` along every path of `graph` in one
+/// walk, reading `state_of(id)` for graph state `id`: it explores the pairs
+/// <state id, each machine's configuration> as a StateGraph of their own.
+/// The first pair at which a machine is dead settles that machine: it is
+/// never stepped again, and every later pair carries that dead
+/// configuration. Once every machine has died nothing else expands.
+/// Because that early exit depends on expansion order, the walk is serial
+/// whatever opts.threads says. opts.max_states caps the pairs, and
+/// opts.budget is polled.
+DeadPairSearch find_dead_pair(const StateGraph& graph,
+                              const std::vector<const SafetyMachine*>& machines,
                               const std::function<State(StateId)>& state_of,
                               ExploreOptions opts);
 
 /// Explores the product of the left-hand-side machines once; targets are
-/// then checked against the reified product graph.
+/// then checked in one walk of the reified product graph.
 class ConstraintExplorer {
  public:
   /// A Disjoint among the constraints (a PrefixMachine whose spec
@@ -110,11 +116,11 @@ class ConstraintExplorer {
   /// (typically the conjunction of all components' Init predicates, with
   /// hidden variables included; their values are normalized away and
   /// re-derived by the machines). `opts` configures the product's
-  /// exploration and every check_target search on it (threads, spill_at,
+  /// exploration and every target walk on it (threads, spill_at,
   /// max_states, budget; add_self_loops is ignored). Reaching
   /// opts.max_states, or a breach of opts.budget, stops the exploration
-  /// gracefully; stop_reason() reports why and check_target verdicts on the
-  /// partial product are marked partial.
+  /// gracefully; stop_reason() reports why and the verdicts on the partial
+  /// product are marked partial.
   ConstraintExplorer(const VarTable& vars,
                      std::vector<std::shared_ptr<const SafetyMachine>> constraints,
                      std::vector<Mover> movers, const Expr& init_enum,
@@ -129,21 +135,28 @@ class ConstraintExplorer {
   /// Why product exploration ended (kCompleted = full product built).
   run::StopReason stop_reason() const { return graph_.stop_reason(); }
 
-  /// Checks |= LHS => target. On failure the verdict carries a finite trace
+  /// The answer to |= LHS => target. On failure it carries a finite trace
   /// of visible states after which the target's prefix machine is dead.
   struct Verdict {
     std::string target_name;
     bool holds = false;
     std::vector<State> counterexample;
+    /// Pairs of the walk that checked the target, shared by every target
+    /// of that walk.
     std::size_t pairs_visited = 0;
-    /// kCompleted = definitive. Otherwise the product or the pair search was
-    /// cut short by a budget: a counterexample is still a real refutation
-    /// (the partial product only contains reachable nodes), but `holds`
-    /// merely means "no violation found within the budget".
+    /// kCompleted = definitive. Otherwise the product or the walk was cut
+    /// short by a budget: a counterexample is still a real refutation (the
+    /// partial product only contains reachable nodes), but `holds` merely
+    /// means "no violation found within the budget".
     run::StopReason stop_reason = run::StopReason::kCompleted;
 
     explicit operator bool() const { return holds; }
   };
+  /// Checks |= LHS => T for every target T in one walk of the product
+  /// (find_dead_pair); one verdict per target, in order. Each target's
+  /// counterexample is a shortest one.
+  std::vector<Verdict> check_targets(const std::vector<const SafetyMachine*>& targets) const;
+  /// check_targets for one target.
   Verdict check_target(const SafetyMachine& target) const;
 
  private:

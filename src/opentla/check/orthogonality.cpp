@@ -41,12 +41,12 @@ class OrthogonalMachine final : public SafetyMachine {
 
 OrthogonalityResult check_orthogonality(const StateGraph& generator, const SafetyMachine& e,
                                         const SafetyMachine& m, const ExploreOptions& opts) {
+  const OrthogonalMachine machine(e, m);
   const DeadPairSearch search = find_dead_pair(
-      generator, OrthogonalMachine(e, m), [&](StateId id) { return generator.state(id); },
-      opts);
+      generator, {&machine}, [&](StateId id) { return generator.state(id); }, opts);
   OrthogonalityResult result;
-  result.holds = search.path.empty();
-  for (StateId id : search.path) result.counterexample.push_back(generator.state(id));
+  result.holds = search.paths[0].empty();
+  for (StateId id : search.paths[0]) result.counterexample.push_back(generator.state(id));
   result.pairs_visited = search.pairs;
   result.stop_reason = search.stop_reason;
   return result;

@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <sstream>
+#include <string_view>
 
 namespace opentla {
 
@@ -31,7 +32,16 @@ std::string ProofReport::to_string() const {
     os << "        method: " << ob.method;
     if (ob.millis > 0) os << "  (" << ob.millis << " ms)";
     os << "\n";
-    if (!ob.detail.empty()) os << "        " << ob.detail << "\n";
+    // Every line of the detail (a counterexample trace, a refused route)
+    // stays inside its obligation's block; a final newline ends the last.
+    std::size_t from = 0;
+    while (from < ob.detail.size()) {
+      std::size_t to = ob.detail.find('\n', from);
+      if (to == std::string::npos) to = ob.detail.size();
+      if (to > from) os << "        " << std::string_view(ob.detail).substr(from, to - from);
+      os << "\n";
+      from = to + 1;
+    }
   }
   if (h1_build_millis > 0) os << "  [shared] H1 product build  (" << h1_build_millis << " ms)\n";
   bool refuted = false;

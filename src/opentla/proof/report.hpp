@@ -15,15 +15,17 @@ namespace opentla {
 struct ProofReport {
   std::string theorem;  // rendered conclusion, e.g. "(QE1 +> QM1) /\ ... => (QE +> QM)"
   std::vector<Obligation> obligations;
-  /// Time to build H1's product, which every H1[E_i] target then
-  /// searches (0 when the proof built none). Not an obligation; rendered
-  /// after them and counted in total_millis().
+  /// Time to build H1's product and to walk it once for every target on
+  /// it, each H1[E_i] and H2a by Propositions 3/4 (0 when the proof built
+  /// none). Not an obligation; rendered after them and counted in
+  /// total_millis().
   double h1_build_millis = 0.0;
 
   bool all_discharged() const;
   double total_millis() const;
   /// Figure-9-style rendering: one line per obligation with status, method
-  /// and timing, then the verdict.
+  /// and timing, then its detail with every line indented, then the
+  /// verdict.
   std::string to_string() const;
 
   Obligation& add(Obligation ob);

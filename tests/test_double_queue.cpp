@@ -103,6 +103,51 @@ TEST_F(DoubleQueueTest, CompositionTheoremProvesFormulaFour) {
   EXPECT_NE(report.to_string().find("[shared] H1 product build"), std::string::npos);
 }
 
+TEST_F(DoubleQueueTest, OneWalkChecksH1AndH2a) {
+  // Formula (4): H1[QE1], H1[QE2] and H2a by Propositions 3/4 are checked
+  // in one walk of H1's product, so each detail names the walk's pairs,
+  // one per product node (each configuration is a singleton).
+  ProofReport proved = verify_composition(sys.vars, sys.components(), sys.goal(), options());
+  ASSERT_TRUE(proved.all_discharged()) << proved.to_string();
+  std::size_t walk_targets = 0;
+  for (const Obligation& ob : proved.obligations) {
+    if (ob.method != "product-inclusion" && ob.method != "product-inclusion(prop3)") continue;
+    ++walk_targets;
+    EXPECT_NE(ob.detail.find("product nodes: 670, pairs: 670"), std::string::npos) << ob.detail;
+  }
+  EXPECT_EQ(walk_targets, 3u);
+  // Formula (3): both H1 targets die, each with its own shortest
+  // counterexample, in one walk of 108 pairs; one walk per target took 48
+  // and 106.
+  std::vector<AGSpec> components = {{sys.qe1, sys.qm1}, {sys.qe2, sys.qm2}};
+  ProofReport refuted = verify_composition(sys.vars, components, sys.goal(), options());
+  std::vector<std::string> details;
+  for (const Obligation& ob : refuted.obligations) {
+    if (ob.id.rfind("H1[", 0) == 0) details.push_back(ob.detail);
+  }
+  ASSERT_EQ(details.size(), 2u);
+  EXPECT_NE(details[0].find("pairs: 108\ncounterexample (5 states)"), std::string::npos)
+      << details[0];
+  EXPECT_NE(details[1].find("pairs: 108\ncounterexample (7 states)"), std::string::npos)
+      << details[1];
+}
+
+TEST_F(DoubleQueueTest, H1IdsAreUniqueWhenAssumptionsShareAName) {
+  // Two components assume TRUE: each H1 id names its position. Names used
+  // once keep their plain id.
+  std::vector<AGSpec> components = sys.components();
+  ASSERT_EQ(components[0].assumption.name, "TRUE");
+  components.push_back(components[0]);
+  ProofReport report = verify_composition(sys.vars, components, sys.goal(), options());
+  EXPECT_TRUE(report.all_discharged()) << report.to_string();
+  std::vector<std::string> h1;
+  for (const Obligation& ob : report.obligations) {
+    if (ob.id.rfind("H1[", 0) == 0) h1.push_back(ob.id);
+  }
+  EXPECT_EQ(h1, (std::vector<std::string>{"H1[TRUE]#1", "H1[" + sys.qe1.name + "]",
+                                          "H1[" + sys.qe2.name + "]", "H1[TRUE]#4"}));
+}
+
 TEST_F(DoubleQueueTest, FormulaThreeWithoutGIsInvalid) {
   // Dropping the interleaving side condition G makes the composition claim
   // false (Section A.5 explains why: simultaneous output changes).

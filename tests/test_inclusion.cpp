@@ -80,6 +80,38 @@ TEST_F(InclusionTest, MultipleTargetsShareOneExploration) {
   EXPECT_FALSE(explorer.check_target(t2).holds);
 }
 
+TEST_F(InclusionTest, OneWalkChecksEveryTarget) {
+  // Three targets in one walk: B2 holds, B0 dies on the first step and B1
+  // on the second. Each verdict matches the target's own walk, and the
+  // joint walk interns fewer pairs than the three walks together.
+  CanonicalSpec sx = stepper(x, "SX");
+  std::vector<std::shared_ptr<const SafetyMachine>> constraints = {
+      std::make_shared<PrefixMachine>(vars, sx)};
+  std::vector<Mover> movers = {mover_from_spec(sx, 0, {y})};
+  ConstraintExplorer explorer(vars, constraints, movers, sx.init, {y});
+  PrefixMachine b2(vars, bound(x, 2, "B2"));
+  PrefixMachine b0(vars, bound(x, 0, "B0"));
+  PrefixMachine b1(vars, bound(x, 1, "B1"));
+  const std::vector<ConstraintExplorer::Verdict> joint = explorer.check_targets({&b2, &b0, &b1});
+  ASSERT_EQ(joint.size(), 3u);
+  std::size_t separate_pairs = 0;
+  for (const auto& [verdict, target] :
+       {std::pair{joint[0], &b2}, std::pair{joint[1], &b0}, std::pair{joint[2], &b1}}) {
+    const ConstraintExplorer::Verdict single = explorer.check_target(*target);
+    separate_pairs += single.pairs_visited;
+    EXPECT_EQ(verdict.target_name, target->name());
+    EXPECT_EQ(verdict.holds, single.holds) << target->name();
+    EXPECT_EQ(verdict.counterexample, single.counterexample) << target->name();
+    EXPECT_EQ(verdict.pairs_visited, joint[0].pairs_visited);
+    EXPECT_EQ(verdict.stop_reason, run::StopReason::kCompleted);
+  }
+  EXPECT_TRUE(joint[0].holds);
+  EXPECT_EQ(joint[1].counterexample.size(), 2u);
+  EXPECT_EQ(joint[2].counterexample.size(), 3u);
+  EXPECT_EQ(joint[0].pairs_visited, explorer.num_nodes());
+  EXPECT_LT(joint[0].pairs_visited, separate_pairs);
+}
+
 TEST_F(InclusionTest, HiddenSourceMoversUseMachineConfigs) {
   // A component whose moves depend on its *hidden* progress: h ticks
   // invisibly, and x may rise only when h = 2. The mover must draw h from

@@ -96,6 +96,30 @@ TEST_F(HiddenCounterTest, MachineWithoutHiddenVariables) {
   EXPECT_TRUE(m.alive(m.step(cfg, st(0, 0), st(0, 2))));
 }
 
+TEST_F(HiddenCounterTest, StutterShortcutFiresOnlyWhereAStutterCannotMoveTheHiddenPart) {
+  // HiddenCounter's tick moves h while f stutters: no shortcut.
+  EXPECT_FALSE(PrefixMachine(vars, spec).stutter_keeps_config());
+  // Without a hidden variable a visible stutter keeps <<>>.
+  CanonicalSpec visible;
+  visible.name = "FlagStaysZero";
+  visible.init = ex::eq(ex::var(f), ex::integer(0));
+  visible.next = ex::bottom();
+  visible.sub = {f};
+  EXPECT_TRUE(PrefixMachine(vars, visible).stutter_keeps_config());
+  // Every step flips f, so a visible stutter can only take the stuttering
+  // branch, which keeps the configuration as it is.
+  CanonicalSpec flips = spec;
+  flips.name = "FlipWithHiddenTick";
+  flips.next = ex::land(ex::eq(ex::primed_var(f), ex::sub(ex::integer(1), ex::var(f))),
+                        ex::eq(ex::primed_var(h), ex::mod(ex::add(ex::var(h), ex::integer(1)),
+                                                          ex::integer(3))));
+  PrefixMachine m(vars, flips);
+  ASSERT_TRUE(m.stutter_keeps_config());
+  const Value cfg = m.step(m.initial(st(0)), st(0), st(1));
+  EXPECT_EQ(cfg.length(), 1u);  // h = 1
+  EXPECT_EQ(m.step(cfg, st(1, 2), st(1, 0)), cfg);
+}
+
 TEST_F(HiddenCounterTest, HiddenOutsideSubscriptRejected) {
   CanonicalSpec bad = spec;
   bad.sub = {f};

@@ -66,6 +66,28 @@ TEST(ProofReport, H1BuildIsRenderedAndTotalled) {
   EXPECT_NE(text.find("Q.E.D."), std::string::npos);
 }
 
+TEST(ProofReport, EveryLineOfADetailIsIndented) {
+  ProofReport report;
+  report.theorem = "T";
+  Obligation ob;
+  ob.id = "H2a";
+  ob.description = "d";
+  ob.method = "m";
+  ob.detail = "product nodes: 3, pairs: 3\nnot by Propositions 3/4: why\ncounterexample (1 states):\n"
+              "  state 0: x = 0\n";
+  report.add(ob);
+  const std::string text = report.to_string();
+  EXPECT_NE(text.find("\n        product nodes: 3, pairs: 3\n"
+                      "        not by Propositions 3/4: why\n"
+                      "        counterexample (1 states):\n"
+                      "          state 0: x = 0\n"
+                      "  NOT PROVED\n"),
+            std::string::npos)
+      << text;
+  // The detail itself is left as it is.
+  EXPECT_EQ(report.obligations[0].detail, ob.detail);
+}
+
 TEST(ObligationTimer, MeasuresElapsedTime) {
   Obligation ob;
   {

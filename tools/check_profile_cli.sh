@@ -6,7 +6,9 @@
 #      section (tracked_peak_bytes, bytes_per_state), and `profile compose`
 #      on specs/ag_queue prints a waste_ratio of at most 1; the counters
 #      table's composite_filter_checks row reads 0 for a plain `check` and
-#      more than 0 for that composition;
+#      more than 0 for that composition; its trace records one target walk
+#      (ConstraintExplorer.target_walk) under fig9:2.1, which checks H1's
+#      targets and H2a together, and no per-target search;
 #   2. --format folded emits the collapsed-stack format flamegraph.pl
 #      consumes ("name[;name...] <count>" per line, nothing else), both
 #      with a live sampler (--sample-hz) and from recorded spans alone;
@@ -105,6 +107,33 @@ checks="$(filter_checks "$out")"
 [ -n "$checks" ] && [ "$checks" -gt 0 ] \
   || fail "profile compose on ag_queue: composite_filter_checks '$checks', want > 0"
 echo "ok: composite_filter_checks reads 0 for check, $checks for compose"
+
+# One walk of H1's product checks every target on it (formula (4): H1[QE1],
+# H1[QE2] and H2a by Propositions 3/4): one target-walk span, inside
+# fig9:2.1 and outside every per-obligation span, and no per-target search.
+"$tlacheck" profile compose --constraint "$ag/g.tla" \
+  --component "$ag/qe1.tla,$ag/qm1.tla" --component "$ag/qe2.tla,$ag/qm2.tla" \
+  --goal "$ag/qedbl.tla,$ag/qmdbl.tla" \
+  --witness 'q=q2 \o (IF z.sig # z.ack THEN <<z.val>> ELSE <<>>) \o q1' \
+  --format trace --out "$workdir/compose.json" > /dev/null \
+  || fail "profile compose --format trace on ag_queue failed with $?"
+python3 - "$workdir/compose.json" <<'PY' || fail "profile compose: the target walk is not one span under fig9:2.1"
+import json, sys
+spans = [e for e in json.load(open(sys.argv[1]))["traceEvents"] if e.get("ph") == "X"]
+def named(name):
+    return [e for e in spans if e["name"] == name]
+def inside(inner, outer):
+    return outer["ts"] <= inner["ts"] and inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
+walks = named("ConstraintExplorer.target_walk")
+assert len(walks) == 1, f"{len(walks)} target walks, want 1"
+h1 = named("fig9:2.1")
+assert len(h1) == 1 and inside(walks[0], h1[0]), "the walk is not inside fig9:2.1"
+steps = [e for e in spans if e["name"].startswith("fig9:2.1.") or e["name"] == "fig9:2.2"]
+assert len(steps) == 4, [e["name"] for e in steps]
+assert not any(inside(walks[0], e) for e in steps), "the walk sits in one obligation's span"
+assert not named("ConstraintExplorer.check_target"), "a per-target search span remains"
+PY
+echo "ok: profile compose records one target walk under fig9:2.1"
 
 # --- 2. Folded format: flamegraph.pl's collapsed-stack contract. ---
 
