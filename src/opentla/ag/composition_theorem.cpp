@@ -50,9 +50,9 @@ Obligation skipped_obligation(std::string id, std::string description,
   return ob;
 }
 
-/// Folds a possibly-partial search verdict into `ob`: a counterexample
-/// refutes regardless of budget state; "holds" on a truncated product or
-/// pair search is inconclusive, never a discharge.
+/// Folds a possibly-partial verdict into `ob`: a counterexample refutes
+/// regardless of budget state; "holds" on a truncated exploration is
+/// inconclusive, never a discharge.
 void adopt_verdict(Obligation& ob, bool holds, run::StopReason stop_reason) {
   if (!holds) {
     ob.discharged = false;
@@ -66,8 +66,18 @@ void adopt_verdict(Obligation& ob, bool holds, run::StopReason stop_reason) {
   }
 }
 
-/// The settings every product, pair search and state graph of a proof
-/// explores with.
+/// Folds a product check's verdict into `ob`: its node count, then `note`
+/// on a line of its own, then the counterexample on failure.
+void adopt_product_verdict(const VarTable& vars, Obligation& ob,
+                           const ConstraintExplorer::Verdict& verdict,
+                           const std::string& note = "") {
+  ob.detail = "product nodes: " + std::to_string(verdict.nodes);
+  adopt_verdict(ob, verdict.holds, verdict.stop_reason);
+  if (!note.empty()) ob.detail += "\n" + note;
+  if (!verdict.holds) ob.detail += "\n" + short_trace(vars, verdict.counterexample);
+}
+
+/// The settings every product and state graph of a proof explores with.
 ExploreOptions explore_options(const CompositionOptions& opts) {
   ExploreOptions out;
   out.threads = opts.threads;
@@ -295,28 +305,26 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
   auto budget_stopped = [&] { return opts.budget != nullptr && opts.budget->stopped(); };
 
   // --- H1: |= C(E) /\ /\_j C(M_j) => E_i, and H2a by Propositions 3/4 ---
-  // One walk of H1's product checks every target on it: each nontrivial
-  // E_i, in component order, and C(M) when H2a takes the route. The
-  // product's build and that walk are charged to the shared build line
-  // rather than to any one target; the product is released right after.
+  // One exploration of H1's product checks every target on it as it runs:
+  // each nontrivial E_i, in component order, and C(M) when H2a takes the
+  // route. It is charged to the shared build line rather than to any one
+  // target.
   const PrefixMachine goal_closure(vars, goal_p1.closure);
   const bool h2a_on_product = h2a_route_refused.empty();
   std::vector<std::unique_ptr<PrefixMachine>> h1_targets(components.size());
-  std::vector<const SafetyMachine*> walk_targets;
+  std::vector<const SafetyMachine*> product_targets;
   for (std::size_t i = 0; i < components.size(); ++i) {
     if (is_trivial_spec(components[i].assumption)) continue;
     h1_targets[i] = std::make_unique<PrefixMachine>(vars, components[i].assumption);
-    walk_targets.push_back(h1_targets[i].get());
+    product_targets.push_back(h1_targets[i].get());
   }
-  if (h2a_on_product) walk_targets.push_back(&goal_closure);
-  // One verdict per walk target; empty when the budget stopped the proof
-  // before the walk.
-  std::vector<ConstraintExplorer::Verdict> walk;
-  std::size_t product_nodes = 0;
+  if (h2a_on_product) product_targets.push_back(&goal_closure);
+  // One verdict per product target; empty when there is none.
+  std::vector<ConstraintExplorer::Verdict> verdicts;
   {
     OPENTLA_OBS_SPAN("fig9:2.1");
     OPENTLA_OBS_PHASE("fig9:2.1");
-    if (!walk_targets.empty()) {
+    if (!product_targets.empty()) {
       std::vector<std::shared_ptr<const SafetyMachine>> constraints;
       constraints.push_back(std::make_shared<PrefixMachine>(vars, goal.assumption));
       for (const CanonicalSpec& c : closures) {
@@ -325,13 +333,7 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
       ObligationTimer timer(report.h1_build_millis);
       const ConstraintExplorer product(vars, constraints, build_movers(), h1_init, normalize,
                                        explore_options(opts));
-      product_nodes = product.num_nodes();
-      // A budget that tripped while a complete product was built stops the
-      // proof before the walk; on a partial product the walk runs and its
-      // "holds" verdicts come back partial.
-      if (!budget_stopped() || product.stop_reason() != run::StopReason::kCompleted) {
-        walk = product.check_targets(walk_targets);
-      }
+      verdicts = product.check_targets(product_targets);
     }
     // H1 ids name the assumption; where several components share a name,
     // each of them also names its position, so every id is unique.
@@ -351,17 +353,8 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
         report.add(std::move(ob));
         continue;
       }
-      if (walk.empty()) {
-        report.add(skipped_obligation(std::move(ob.id), std::move(ob.description),
-                                      *opts.budget));
-        continue;
-      }
-      const ConstraintExplorer::Verdict& verdict = walk[next_verdict++];
       ob.method = "product-inclusion";
-      ob.detail = "product nodes: " + std::to_string(product_nodes) +
-                  ", pairs: " + std::to_string(verdict.pairs_visited);
-      adopt_verdict(ob, verdict.holds, verdict.stop_reason);
-      if (!verdict.holds) ob.detail += "\n" + short_trace(vars, verdict.counterexample);
+      adopt_product_verdict(vars, ob, verdicts[next_verdict++]);
       report.add(std::move(ob));
     }
   }
@@ -370,7 +363,7 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
   const std::string h2a_description = "C(" + goal.assumption.name +
                                       ")_{+v} /\\ /\\_j C(M_j) => C(" +
                                       goal.guarantee.name + ")";
-  if (h2a_on_product ? walk.empty() : budget_stopped()) {
+  if (!h2a_on_product && budget_stopped()) {
     report.add(skipped_obligation("H2a", h2a_description, *opts.budget));
   } else {
     Obligation ob;
@@ -380,12 +373,10 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
       OPENTLA_OBS_SPAN("fig9:2.2");
       OPENTLA_OBS_PHASE("fig9:2.2");
       ObligationTimer timer(ob);
-      ConstraintExplorer::Verdict verdict;
       if (h2a_on_product) {
-        // Proposition 3: C(E) /\ R => C(M), checked by H1's walk.
+        // Proposition 3: C(E) /\ R => C(M), checked on H1's product.
         ob.method = "product-inclusion(prop3)";
-        verdict = walk.back();
-        ob.detail = "product nodes: " + std::to_string(product_nodes);
+        adopt_product_verdict(vars, ob, verdicts.back());
       } else {
         ob.method = "product-inclusion(freeze)";
         std::vector<std::shared_ptr<const SafetyMachine>> constraints;
@@ -396,13 +387,9 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
         }
         const ConstraintExplorer freeze(vars, constraints, build_movers(), r_init, normalize,
                                         explore_options(opts));
-        verdict = freeze.check_target(goal_closure);
-        ob.detail = "product nodes: " + std::to_string(freeze.num_nodes());
+        adopt_product_verdict(vars, ob, freeze.check_target(goal_closure),
+                              "not by Propositions 3/4: " + h2a_route_refused);
       }
-      ob.detail += ", pairs: " + std::to_string(verdict.pairs_visited);
-      adopt_verdict(ob, verdict.holds, verdict.stop_reason);
-      if (!h2a_on_product) ob.detail += "\nnot by Propositions 3/4: " + h2a_route_refused;
-      if (!verdict.holds) ob.detail += "\n" + short_trace(vars, verdict.counterexample);
     }
     report.add(std::move(ob));
   }

@@ -16,14 +16,16 @@
 // subset constructions (justified by Proposition 2, whose side conditions
 // are checked). H1 is a safety inclusion checked by product exploration
 // (check/inclusion): one product of C(E) /\ /\_j C(M_j), one target per
-// E_i, all checked in one walk of the product. H2a follows Figure 9: when
+// E_i, all checked while the product is explored, which stops once every
+// target has died. H2a follows Figure 9: when
 // Proposition 4 shows /\_j C(M_j) => C(E) _|_ C(M) (a Disjoint among the
 // components keeps E's and M's output tuples apart, and every initial
 // state of /\_j C(M_j) satisfies Init_E or Init_M) and Proposition 3's side
 // condition holds, H2a reduces to C(E) /\ /\_j C(M_j) => C(M), one more
-// target of that walk, and the report lists Prop4[E _|_ M]. Otherwise H2a explores the freeze product,
-// with C(E)_{+v} as the machine transform of automata/freeze, from the
-// initial states of /\_j C(M_j), and its detail names the failed condition.
+// target of that exploration, and the report lists Prop4[E _|_ M].
+// Otherwise H2a explores the freeze product, with C(E)_{+v} as the machine
+// transform of automata/freeze, from the initial states of /\_j C(M_j),
+// checking C(M) the same way, and its detail names the failed condition.
 // H2b is a full (safety + liveness) implication checked on the explicit
 // complete system (compose) against the goal guarantee under a refinement
 // mapping (check/refinement), which supplies the witness for the goal's
@@ -71,7 +73,7 @@ struct CompositionOptions {
   /// themselves.
   std::vector<std::pair<std::string, Expr>> goal_witness;
   /// Cap on the states of each exploration: the nodes of the H1 and freeze
-  /// products, the pairs of each target walk and H2b's low graph.
+  /// products and of H2b's low graph.
   /// Reaching it leaves the obligation inconclusive (see
   /// ExploreOptions::max_states).
   std::size_t max_states = 2'000'000;
@@ -79,13 +81,14 @@ struct CompositionOptions {
   /// exploration the verifier runs. On a breach the remaining obligations
   /// come back inconclusive instead of the run throwing. Not owned.
   run::RunBudget* budget = nullptr;
-  /// Worker threads for the explorations: the H1 and freeze products and
-  /// H2b's low graph (target walks stay serial). 1 = serial, 0 = hardware
-  /// concurrency. The verdicts and graphs are identical for every value
-  /// (see ExploreOptions).
+  /// Worker threads for H2b's low graph. 1 = serial, 0 = hardware
+  /// concurrency. The H1 and freeze products are explored serially
+  /// whatever this says, because they stop once every target has died,
+  /// and that depends on expansion order. The verdicts and graphs are
+  /// identical for every value (see ExploreOptions).
   unsigned threads = 1;
   /// Resident-byte budget for every exploration's state store arenas,
-  /// products and pair searches included (see ExploreOptions::spill_at).
+  /// products included (see ExploreOptions::spill_at).
   /// 0 = never spill.
   std::uint64_t spill_at = 0;
 };

@@ -11,8 +11,8 @@
 // freeze and checks 2(a) as one more target on hypothesis 1's product (see
 // ag/composition_theorem). As the paper observes (Section 5), the
 // left-hand side is the specification of a *complete system*; we explore
-// that system as a product, which is a StateGraph like every other
-// exploration (budgets, spill, threads, obs):
+// that system as a product, on the StateGraph engine like every other
+// exploration (budgets, spill, obs), but serially:
 //
 //   product node  =  visible state (hidden entries normalized), with the
 //                    ProductMachine configuration of the left-hand-side
@@ -33,11 +33,16 @@
 // belongs to some mover's subscript.
 //
 // R holds iff its machine stays alive along every reachable product path.
-// find_dead_pair decides that for every target at once, in one walk: it
-// explores the pairs <product node, each target's configuration> as one
-// more StateGraph, and each target that dies gets a shortest path to its
-// own first dead pair. check/orthogonality, a library checker the verifier
-// does not call, runs the same walk with one machine for E _|_ M.
+// ConstraintExplorer::check_targets decides that for every target at once,
+// while it explores the product, as kofola's inclusion check explores a
+// product on the fly through one successor function: each node carries
+// every target's configuration beside the left-hand side's. A target's
+// first dead node settles that target; no later node steps it, and each
+// carries its dead configuration. Once every target has died nothing else
+// expands, and each dead target gets a shortest path to its own first dead
+// node. find_dead_pair makes the same check for one machine on a graph
+// already explored; check/orthogonality, a library checker the verifier
+// does not call, runs it for E _|_ M.
 
 #pragma once
 
@@ -79,34 +84,27 @@ struct Mover {
 Mover mover_from_spec(const CanonicalSpec& spec, int constraint_index,
                       const std::vector<VarId>& normalized);
 
-/// A dead-pair walk's answer (see find_dead_pair).
+/// A dead-pair search's answer (see find_dead_pair).
 struct DeadPairSearch {
-  /// Per machine, in the order given: graph state ids from an initial state
-  /// to one after which that machine is dead, along a shortest such path;
-  /// empty if the walk found no dead pair for it.
-  std::vector<std::vector<StateId>> paths;
-  /// Pairs <graph state, configurations> the walk interned.
+  /// Graph state ids from an initial state to one after which the machine
+  /// is dead, along a shortest such path; empty if the search found none.
+  std::vector<StateId> path;
+  /// Pairs <graph state, configuration> the search interned.
   std::size_t pairs = 0;
-  /// kCompleted unless opts.max_states or opts.budget cut the walk short.
+  /// kCompleted unless opts.max_states or opts.budget cut the search short.
   run::StopReason stop_reason = run::StopReason::kCompleted;
 };
 
-/// Runs every machine of `machines` along every path of `graph` in one
-/// walk, reading `state_of(id)` for graph state `id`: it explores the pairs
-/// <state id, each machine's configuration> as a StateGraph of their own.
-/// The first pair at which a machine is dead settles that machine: it is
-/// never stepped again, and every later pair carries that dead
-/// configuration. Once every machine has died nothing else expands.
-/// Because that early exit depends on expansion order, the walk is serial
-/// whatever opts.threads says. opts.max_states caps the pairs, and
-/// opts.budget is polled.
-DeadPairSearch find_dead_pair(const StateGraph& graph,
-                              const std::vector<const SafetyMachine*>& machines,
-                              const std::function<State(StateId)>& state_of,
+/// Runs `machine` along every path of `graph`, reading each graph state as
+/// it is stored: it explores the pairs <state id, configuration> as a
+/// StateGraph of their own, and nothing expands after the first dead pair.
+/// The search is serial whatever opts.threads says. opts.max_states caps
+/// the pairs, and opts.budget is polled.
+DeadPairSearch find_dead_pair(const StateGraph& graph, const SafetyMachine& machine,
                               ExploreOptions opts);
 
-/// Explores the product of the left-hand-side machines once; targets are
-/// then checked in one walk of the reified product graph.
+/// The product of the left-hand-side machines, explored on the fly with
+/// the targets it is checked against.
 class ConstraintExplorer {
  public:
   /// A Disjoint among the constraints (a PrefixMachine whose spec
@@ -115,25 +113,24 @@ class ConstraintExplorer {
   /// `init_enum` enumerates candidate initial states of the universe
   /// (typically the conjunction of all components' Init predicates, with
   /// hidden variables included; their values are normalized away and
-  /// re-derived by the machines). `opts` configures the product's
-  /// exploration and every target walk on it (threads, spill_at,
-  /// max_states, budget; add_self_loops is ignored). Reaching
-  /// opts.max_states, or a breach of opts.budget, stops the exploration
-  /// gracefully; stop_reason() reports why and the verdicts on the partial
-  /// product are marked partial.
+  /// re-derived by the machines). `opts` configures every check's
+  /// exploration (spill_at, max_states, budget). It runs serially whatever
+  /// opts.threads says, because its early exit depends on expansion order,
+  /// and add_self_loops is ignored. Reaching opts.max_states, or a breach
+  /// of opts.budget, stops the exploration gracefully, and the verdicts
+  /// carry the stop reason.
   ConstraintExplorer(const VarTable& vars,
                      std::vector<std::shared_ptr<const SafetyMachine>> constraints,
                      std::vector<Mover> movers, const Expr& init_enum,
                      std::vector<VarId> normalize, const ExploreOptions& opts = {});
-  /// graph_ points at product_vars_.
-  ConstraintExplorer(ConstraintExplorer&&) = delete;
 
-  std::size_t num_nodes() const { return graph_.num_states(); }
-  /// The product: each node is a visible state with the left-hand side's
-  /// ProductMachine configuration appended as one extra value.
-  const StateGraph& graph() const { return graph_; }
-  /// Why product exploration ended (kCompleted = full product built).
-  run::StopReason stop_reason() const { return graph_.stop_reason(); }
+  /// The product as a successor function. A product node is a visible
+  /// state with the left-hand side's ProductMachine configuration appended
+  /// as one extra value, over product_vars(); initial() lists the initial
+  /// ones, and for_each_successor emits every successor of one.
+  const VarTable& product_vars() const { return product_vars_; }
+  const std::vector<State>& initial() const { return initial_; }
+  void for_each_successor(const State& node, const std::function<void(const State&)>& emit) const;
 
   /// The answer to |= LHS => target. On failure it carries a finite trace
   /// of visible states after which the target's prefix machine is dead.
@@ -141,19 +138,21 @@ class ConstraintExplorer {
     std::string target_name;
     bool holds = false;
     std::vector<State> counterexample;
-    /// Pairs of the walk that checked the target, shared by every target
-    /// of that walk.
-    std::size_t pairs_visited = 0;
-    /// kCompleted = definitive. Otherwise the product or the walk was cut
-    /// short by a budget: a counterexample is still a real refutation (the
-    /// partial product only contains reachable nodes), but `holds` merely
-    /// means "no violation found within the budget".
+    /// Nodes of the exploration that checked the target, shared by every
+    /// target of that exploration.
+    std::size_t nodes = 0;
+    /// kCompleted = definitive. Otherwise the exploration was cut short by
+    /// a budget: a counterexample is still a real refutation (the partial
+    /// product only contains reachable nodes), but `holds` merely means
+    /// "no violation found within the budget".
     run::StopReason stop_reason = run::StopReason::kCompleted;
 
     explicit operator bool() const { return holds; }
   };
-  /// Checks |= LHS => T for every target T in one walk of the product
-  /// (find_dead_pair); one verdict per target, in order. Each target's
+  /// Checks |= LHS => T for every target T while exploring the product
+  /// once; one verdict per target, in order. Each node carries every
+  /// target's configuration, a target's first dead node settles it, and
+  /// nothing expands once every target has died. Each target's
   /// counterexample is a shortest one.
   std::vector<Verdict> check_targets(const std::vector<const SafetyMachine*>& targets) const;
   /// check_targets for one target.
@@ -161,9 +160,13 @@ class ConstraintExplorer {
 
  private:
   ConjunctionSuccessors step_generator() const;
-  StateGraph explore(const Expr& init_enum) const;
-  /// Product node `id` without its configuration slot.
-  State visible(StateId id) const;
+  std::vector<State> initial_nodes(const Expr& init_enum) const;
+  State normalized(State s) const;
+  /// Offers every step from visible state `s` under left-hand-side
+  /// configuration `configs` that keeps the left-hand side alive to
+  /// `keep(t, next)`, which returns whether it kept the step.
+  void for_each_step(const State& s, const Value& configs,
+                     const std::function<bool(const State&, Value)>& keep) const;
 
   const VarTable* vars_;
   /// vars_ plus the configuration slot.
@@ -173,7 +176,7 @@ class ConstraintExplorer {
   std::vector<VarId> normalize_;
   ExploreOptions opts_;
   ConjunctionSuccessors steps_;
-  StateGraph graph_;
+  std::vector<State> initial_;
 };
 
 }  // namespace opentla

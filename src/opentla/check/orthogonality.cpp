@@ -42,11 +42,10 @@ class OrthogonalMachine final : public SafetyMachine {
 OrthogonalityResult check_orthogonality(const StateGraph& generator, const SafetyMachine& e,
                                         const SafetyMachine& m, const ExploreOptions& opts) {
   const OrthogonalMachine machine(e, m);
-  const DeadPairSearch search = find_dead_pair(
-      generator, {&machine}, [&](StateId id) { return generator.state(id); }, opts);
+  const DeadPairSearch search = find_dead_pair(generator, machine, opts);
   OrthogonalityResult result;
-  result.holds = search.paths[0].empty();
-  for (StateId id : search.paths[0]) result.counterexample.push_back(generator.state(id));
+  result.holds = search.path.empty();
+  for (StateId id : search.path) result.counterexample.push_back(generator.state(id));
   result.pairs_visited = search.pairs;
   result.stop_reason = search.stop_reason;
   return result;

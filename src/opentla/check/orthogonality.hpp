@@ -8,7 +8,7 @@
 //
 // The checker decides |= R => (E _|_ M) where the behaviors of R are given
 // by an explored StateGraph and E, M by safety machines: it runs
-// check/inclusion's dead-pair walk with one machine for E _|_ M over
+// check/inclusion's dead-pair search with one machine for E _|_ M over
 // <E's configuration, M's configuration>, which dies on the first step
 // that kills both at once.
 

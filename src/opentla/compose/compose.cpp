@@ -126,9 +126,10 @@ StateGraph build_composite_graph(const VarTable& vars, const std::vector<Composi
     steps.for_each_successor(s, [&](const State& t) {
       for (const CanonicalSpec* f : filters) {
         OPENTLA_OBS_COUNT(CompositeFilterChecks);
-        if (!f->step_ok(vars, s, t)) return;
+        if (!f->step_ok(vars, s, t)) return false;
       }
       emit(t);
+      return true;
     });
   };
 

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "opentla/analysis/footprint.hpp"
+#include "opentla/obs/obs.hpp"
 #include "opentla/tla/spec.hpp"
 
 namespace opentla {
@@ -180,11 +181,14 @@ void ConjunctionSuccessors::add(std::vector<std::size_t> movers, std::vector<Exp
 
 void ConjunctionSuccessors::for_each_successor(
     const State& s, const SourceFn& sources,
-    const std::function<void(const State&)>& emit) const {
+    const KeepFn& keep) const {
   // Each mover's sources are fetched once per state, on first use.
   std::vector<std::optional<Value>> fetched(movers_.size());
   for (const Generator& g : generators_) {
+    // The one place a candidate is kept or dropped: by the generator's
+    // check, then by the caller.
     const auto accept = [&](const State& t) {
+      OPENTLA_OBS_COUNT(CandidatesGenerated);
       switch (g.check) {
         case Check::kNone:
           break;
@@ -197,7 +201,7 @@ void ConjunctionSuccessors::for_each_successor(
           if (!changes_tuple(unpinned_, s, t)) return;
           break;
       }
-      emit(t);
+      if (keep(t)) OPENTLA_OBS_COUNT(CandidatesKept);
     };
     // One captured reference keeps the std::function below allocation-free.
     const std::function<void(const State&)> on_successor = [&accept](const State& t) {

@@ -115,12 +115,16 @@ class ConjunctionSuccessors {
   /// with movers[k].hidden.
   using SourceFn = std::function<Value(std::size_t mover)>;
 
-  /// Calls `emit` for every successor of `s`. Without `sources`, hidden
-  /// variables keep their values in `s`.
-  void for_each_successor(const State& s, const SourceFn& sources,
-                          const std::function<void(const State&)>& emit) const;
-  void for_each_successor(const State& s, const std::function<void(const State&)>& emit) const {
-    for_each_successor(s, nullptr, emit);
+  /// Offers every successor of `s` to `keep`, which returns whether the
+  /// exploration kept it as a step. Without `sources`, hidden variables
+  /// keep their values in `s`. Every candidate an action generates counts
+  /// toward CandidatesGenerated, and every one `keep` accepts toward
+  /// CandidatesKept, so the two counters (obs::Snapshot::waste_ratio)
+  /// describe the same explorations.
+  using KeepFn = std::function<bool(const State&)>;
+  void for_each_successor(const State& s, const SourceFn& sources, const KeepFn& keep) const;
+  void for_each_successor(const State& s, const KeepFn& keep) const {
+    for_each_successor(s, nullptr, keep);
   }
 
  private:

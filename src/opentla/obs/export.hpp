@@ -15,7 +15,8 @@ namespace opentla::obs {
 /// OpenMetrics text exposition: counters as `opentla_<name>_total`,
 /// gauges and levels as `opentla_<name>`, labeled counters with their
 /// label key, histograms with cumulative `le` buckets ending at "+Inf",
-/// the derived `opentla_bytes_per_state` and `opentla_waste_ratio` gauges,
+/// the derived `opentla_bytes_per_state` and `opentla_waste_ratio`
+/// (candidates_generated / candidates_kept, Snapshot::waste_ratio) gauges,
 /// and a terminating `# EOF` line.
 std::string render_openmetrics(const Snapshot& snap);
 

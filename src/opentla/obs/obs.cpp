@@ -42,6 +42,8 @@ const char* name(Counter c) {
     case Counter::FingerprintCollisions: return "fingerprint_collisions";
     case Counter::SpillSegments: return "spill_segments";
     case Counter::CompositeFilterChecks: return "composite_filter_checks";
+    case Counter::CandidatesGenerated: return "candidates_generated";
+    case Counter::CandidatesKept: return "candidates_kept";
     case Counter::kCount: break;
   }
   return "?";
@@ -452,14 +454,14 @@ std::string render_human(const Snapshot& snap) {
       out << line;
     }
   }
-  const std::uint64_t fanout_sum = snap.hist(Histogram::SuccessorFanout).sum;
-  if (fanout_sum > 0) {
+  const std::uint64_t kept = snap.counter(Counter::CandidatesKept);
+  if (kept > 0) {
     char line[160];
     std::snprintf(line, sizeof line,
-                  "  waste_ratio %.3f (successors_enumerated %llu / successor_fanout sum %llu)\n",
+                  "  waste_ratio %.3f (candidates_generated %llu / candidates_kept %llu)\n",
                   snap.waste_ratio(),
-                  static_cast<unsigned long long>(snap.counter(Counter::SuccessorsEnumerated)),
-                  static_cast<unsigned long long>(fanout_sum));
+                  static_cast<unsigned long long>(snap.counter(Counter::CandidatesGenerated)),
+                  static_cast<unsigned long long>(kept));
     out << line;
   }
   // Memory: tracked domains with any activity, then the headline totals.

@@ -42,7 +42,7 @@ enum class Counter : std::size_t {
   SccPasses,               // Tarjan decompositions run
   LassoCandidates,         // SCCs examined as fair-cycle candidates
   InclusionPairs,          // pairs interned by dead-pair searches (find_dead_pair)
-  ProductNodes,            // nodes interned by ConstraintExplorer
+  ProductNodes,            // nodes interned by ConstraintExplorer checks
   ProductSteps,            // ProductMachine::step calls
   FreezeSteps,             // FreezeMachine::step calls
   RefinementEdgesChecked,  // low edges checked against [HighNext]_v
@@ -61,6 +61,8 @@ enum class Counter : std::size_t {
   FingerprintCollisions,   // distinct states sharing a 64-bit fingerprint (hard error)
   SpillSegments,           // arena segments spilled to mmap-backed temp files
   CompositeFilterChecks,   // [N_j]_{v_j} checks of filter-only parts by build_composite_graph
+  CandidatesGenerated,     // candidate steps the conjunction generator offered an exploration
+  CandidatesKept,          // of those, the steps the exploration kept
   kCount
 };
 
@@ -362,15 +364,17 @@ struct Snapshot {
     const std::uint64_t states = gauge(Gauge::PeakGraphStates);
     return states == 0 ? 0 : mem_tracked_peak_bytes / states;
   }
-  /// Candidates the successor generators emitted per edge the explorations
-  /// kept (stuttering self-loops included): successors_enumerated over the
-  /// successor_fanout sum. 1 or below means nothing was generated only to
-  /// be filtered away; 0 when no fanout was recorded.
+  /// Candidate steps the conjunction generator offered per step the
+  /// explorations kept: candidates_generated over candidates_kept, both
+  /// counted where a candidate is kept or dropped
+  /// (ConjunctionSuccessors::for_each_successor). At least 1; exactly 1
+  /// means nothing was generated only to be filtered away. 0 when nothing
+  /// was kept.
   double waste_ratio() const {
-    const std::uint64_t edges = hist(Histogram::SuccessorFanout).sum;
-    return edges == 0 ? 0.0
-                      : static_cast<double>(counter(Counter::SuccessorsEnumerated)) /
-                            static_cast<double>(edges);
+    const std::uint64_t kept = counter(Counter::CandidatesKept);
+    return kept == 0 ? 0.0
+                     : static_cast<double>(counter(Counter::CandidatesGenerated)) /
+                           static_cast<double>(kept);
   }
   /// Value of family `f` at `label`, 0 when the label was never interned.
   std::uint64_t labeled_value(LabeledCounter f, const std::string& label) const;

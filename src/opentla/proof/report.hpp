@@ -15,10 +15,10 @@ namespace opentla {
 struct ProofReport {
   std::string theorem;  // rendered conclusion, e.g. "(QE1 +> QM1) /\ ... => (QE +> QM)"
   std::vector<Obligation> obligations;
-  /// Time to build H1's product and to walk it once for every target on
-  /// it, each H1[E_i] and H2a by Propositions 3/4 (0 when the proof built
-  /// none). Not an obligation; rendered after them and counted in
-  /// total_millis().
+  /// Time to explore H1's product, which checks every target on it as it
+  /// runs, each H1[E_i] and H2a by Propositions 3/4 (0 when the proof
+  /// explored none). Not an obligation; rendered after them and counted
+  /// in total_millis().
   double h1_build_millis = 0.0;
 
   bool all_discharged() const;

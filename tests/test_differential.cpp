@@ -934,6 +934,20 @@ TEST(NestedDisjunctionCap, ExpansionPastTheCapKeepsTheSourceSplitAndAgrees) {
   EXPECT_GT(z_moves, 0u);  // non-vacuous: some successor changes z
 }
 
+/// The product of `explorer`, explored in full through its successor
+/// function and without self-loops: the graph its on-the-fly checks are
+/// compared with. `explorer` must outlive it.
+StateGraph full_product(const ConstraintExplorer& explorer) {
+  ExploreOptions opts;
+  opts.add_self_loops = false;
+  return StateGraph(
+      explorer.product_vars(), explorer.initial(),
+      [&explorer](const State& u, const std::function<void(const State&)>& emit) {
+        explorer.for_each_successor(u, emit);
+      },
+      opts);
+}
+
 /// Tenth differential axis: the conjunction-aware step generator
 /// (graph/conjunction) against generate-and-test's semantics. Random
 /// systems of two or three parts over five visible variables: each part
@@ -1162,7 +1176,7 @@ TEST_P(ConjunctionHarness, GeneratedStepsEqualGenerateAndTest) {
       }
       const ProductMachine product(constraints);
       const ConstraintExplorer explorer(vars, constraints, movers, ex::top(), normalize);
-      const StateGraph& g = explorer.graph();
+      const StateGraph g = full_product(explorer);
       const std::size_t width = vars.size();
       auto visible = [&](const State& node) {
         return State(std::vector<Value>(node.values().begin(), node.values().begin() + width));
@@ -1437,16 +1451,18 @@ TEST_P(StutterShortcutHarness, StepsEqualTheBruteForceSubsetConstruction) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StutterShortcutHarness, ::testing::Range(0u, kSeeds));
 
-/// Thirteenth differential axis: the joint target walk
-/// (ConstraintExplorer::check_targets, find_dead_pair). Random products
-/// over a counter x in 0..3 and a flag y, with a hidden h, carry 1-3
-/// targets: random specs, some with h hidden (configurations that are not
-/// singletons), which hold or die early, and a counter bound that dies
-/// late, once x wraps. Per target, the joint walk must agree with a walk of
-/// its own in verdict and counterexample length; every counterexample must
-/// replay (the target is alive after each proper prefix and dead after
-/// the whole trace); and a walk cut by max_states or by a stopped budget
-/// must report no target as definitively holding.
+/// Thirteenth differential axis: the on-the-fly target check
+/// (ConstraintExplorer::check_targets) against the unoptimized semantics,
+/// a full exploration of the product followed by one find_dead_pair
+/// search of it per target. Random products over a counter x in 0..3 and a flag y,
+/// with a hidden h, carry 1-3 targets: random specs, some with h hidden
+/// (configurations that are not singletons), which hold or die early, and a
+/// counter bound that dies late, once x wraps. Per target, the check of all
+/// targets at once and the target's own check must agree with the search
+/// in verdict and counterexample length; every counterexample must replay
+/// (the target is alive after each proper prefix and dead after the whole
+/// trace); and a check cut by max_states or by a stopped budget must
+/// report no target as definitively holding.
 constexpr unsigned kWalkCasesPerSeed = 30;
 
 class WalkGen {
@@ -1576,13 +1592,36 @@ class WalkGen {
   return ::testing::AssertionSuccess();
 }
 
+/// `m` reading only the first `width` values of each state: a target run
+/// over whole product nodes, which end in the left-hand side's
+/// configuration.
+class VisiblePart final : public SafetyMachine {
+ public:
+  VisiblePart(const SafetyMachine& m, std::size_t width) : m_(m), width_(width) {}
+  Value initial(const State& s) const override { return m_.initial(cut(s)); }
+  Value step(const Value& config, const State& s, const State& t) const override {
+    return m_.step(config, cut(s), cut(t));
+  }
+  bool alive(const Value& config) const override { return m_.alive(config); }
+  std::string name() const override { return m_.name(); }
+
+ private:
+  State cut(const State& s) const {
+    return State(std::vector<Value>(s.values().begin(), s.values().begin() + width_));
+  }
+
+  const SafetyMachine& m_;
+  std::size_t width_;
+};
+
 class JointWalkHarness : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(JointWalkHarness, OneWalkAgreesWithOneWalkPerTarget) {
   const unsigned seed = GetParam();
   WalkGen gen(seed);
   const VarTable& vars = gen.vars();
-  std::size_t held = 0, died_early = 0, died_late = 0, capped = 0, wide = 0;
+  const std::size_t width = vars.size();
+  std::size_t held = 0, died_early = 0, died_late = 0, stopped_early = 0, capped = 0, wide = 0;
 
   for (unsigned c = 0; c < kWalkCasesPerSeed; ++c) {
     SCOPED_TRACE("seed=" + std::to_string(seed) + " case=" + std::to_string(c));
@@ -1599,73 +1638,100 @@ TEST_P(JointWalkHarness, OneWalkAgreesWithOneWalkPerTarget) {
     const int late_at = gen.pick(count + 1);  // == count: no late target
     std::vector<std::unique_ptr<PrefixMachine>> machines;
     std::vector<const SafetyMachine*> targets;
+    std::vector<std::unique_ptr<VisiblePart>> on_nodes;
     for (int i = 0; i < count; ++i) {
       const std::string name = "T" + std::to_string(i);
       machines.push_back(std::make_unique<PrefixMachine>(
           vars, i == late_at ? gen.late(name) : gen.random(name)));
       targets.push_back(machines.back().get());
+      on_nodes.push_back(std::make_unique<VisiblePart>(*machines.back(), width));
     }
+
+    // The reference: the whole product, then one search of it per target.
+    const StateGraph product = full_product(explorer);
+    ASSERT_EQ(product.stop_reason(), run::StopReason::kCompleted);
+    std::vector<DeadPairSearch> reference;
+    for (const auto& t : on_nodes) {
+      reference.push_back(find_dead_pair(product, *t, {}));
+      ASSERT_EQ(reference.back().stop_reason, run::StopReason::kCompleted);
+    }
+    // Some target's configuration is not a singleton, at a product node or
+    // one step after it.
+    bool not_singleton = false;
+    for (StateId u = 0; u < product.num_states() && !not_singleton; ++u) {
+      const State s = product.state(u);
+      for (const auto& t : on_nodes) {
+        const Value config = t->initial(s);
+        not_singleton = not_singleton || config.length() > 1;
+        for (StateId v : product.successors(u)) {
+          not_singleton = not_singleton || t->step(config, s, product.state(v)).length() > 1;
+        }
+      }
+    }
+    wide += not_singleton ? 1 : 0;
 
     const std::vector<ConstraintExplorer::Verdict> joint = explorer.check_targets(targets);
     ASSERT_EQ(joint.size(), targets.size());
+    // Fewer nodes than the product has: the check stopped once every
+    // target had died. Its node count is not compared with the searches'
+    // pairs: where each stops depends on the order of a node's steps,
+    // which a search takes sorted by product id.
+    stopped_early += joint[0].nodes < product.num_states() ? 1 : 0;
     for (std::size_t i = 0; i < targets.size(); ++i) {
       SCOPED_TRACE("target " + targets[i]->name());
       const ConstraintExplorer::Verdict single = explorer.check_target(*targets[i]);
       EXPECT_EQ(joint[i].stop_reason, run::StopReason::kCompleted);
-      EXPECT_EQ(joint[i].pairs_visited, joint[0].pairs_visited);
-      ASSERT_EQ(joint[i].holds, single.holds);
-      ASSERT_EQ(joint[i].counterexample.size(), single.counterexample.size());
+      EXPECT_EQ(joint[i].nodes, joint[0].nodes);
+      ASSERT_EQ(joint[i].holds, reference[i].path.empty());
+      ASSERT_EQ(single.holds, joint[i].holds);
+      ASSERT_EQ(joint[i].counterexample.size(), reference[i].path.size());
+      ASSERT_EQ(single.counterexample.size(), joint[i].counterexample.size());
       if (joint[i].holds) {
         ++held;
         continue;
       }
+      std::vector<State> replay;
+      for (StateId id : reference[i].path) {
+        const State node = product.state(id);
+        replay.emplace_back(std::vector<Value>(node.values().begin(), node.values().begin() + width));
+      }
+      EXPECT_TRUE(dies_first_at_the_end(*targets[i], replay));
       EXPECT_TRUE(dies_first_at_the_end(*targets[i], joint[i].counterexample));
       EXPECT_TRUE(dies_first_at_the_end(*targets[i], single.counterexample));
       if (joint[i].counterexample.size() <= 2) ++died_early;
       if (joint[i].counterexample.size() >= 5) ++died_late;
     }
 
-    // A walk cut short, by a cap below the pairs the full walk interned or
-    // by a stopped budget, reports no target as definitively holding; a
+    // A check cut short, by a cap below the nodes the full check interned
+    // or by a stopped budget, reports no target as definitively holding; a
     // counterexample it does report still replays.
-    const std::size_t pairs = joint[0].pairs_visited;
-    // More pairs than product nodes: some configuration is not a singleton.
-    wide += pairs > explorer.num_nodes() ? 1 : 0;
-    const StateGraph& g = explorer.graph();
-    const std::size_t width = vars.size();
-    const auto state_of = [&](StateId id) {
-      const State node = g.state(id);
-      return State(std::vector<Value>(node.values().begin(), node.values().begin() + width));
-    };
     run::RunBudget stopped;
     stopped.request_stop(run::StopReason::kInterrupted);
     std::vector<ExploreOptions> cuts(1);
     cuts[0].budget = &stopped;
-    if (pairs > 1) {
+    if (joint[0].nodes > 1) {
       cuts.emplace_back().max_states =
-          1 + static_cast<std::size_t>(gen.pick(static_cast<int>(pairs - 1)));
+          1 + static_cast<std::size_t>(gen.pick(static_cast<int>(joint[0].nodes - 1)));
     }
     for (const ExploreOptions& opts : cuts) {
-      const DeadPairSearch walk = find_dead_pair(g, targets, state_of, opts);
+      const ConstraintExplorer cut(vars, constraints, movers, init, {gen.h()}, opts);
+      const std::vector<ConstraintExplorer::Verdict> partial = cut.check_targets(targets);
       for (std::size_t i = 0; i < targets.size(); ++i) {
-        if (walk.paths[i].empty()) {
-          EXPECT_NE(walk.stop_reason, run::StopReason::kCompleted)
-              << targets[i]->name() << " holds on a cut walk";
-          continue;
+        EXPECT_NE(partial[i].stop_reason, run::StopReason::kCompleted) << targets[i]->name();
+        if (!partial[i].holds) {
+          EXPECT_TRUE(dies_first_at_the_end(*targets[i], partial[i].counterexample));
         }
-        std::vector<State> trace;
-        for (StateId id : walk.paths[i]) trace.push_back(state_of(id));
-        EXPECT_TRUE(dies_first_at_the_end(*targets[i], trace));
       }
-      EXPECT_NE(walk.stop_reason, run::StopReason::kCompleted);
       capped += opts.budget == nullptr ? 1 : 0;
     }
   }
-  // Non-vacuity: targets hold, die at once and die late, some walks carry
-  // configurations that are not singletons, and caps cut walks.
+  // Non-vacuity: targets hold, die at once and die late, some checks stop
+  // before the whole product is explored, some carry configurations that
+  // are not singletons, and caps cut checks.
   EXPECT_GT(held, 0u);
   EXPECT_GT(died_early, 0u);
   EXPECT_GT(died_late, 0u);
+  EXPECT_GT(stopped_early, 0u);
   EXPECT_GT(wide, 0u);
   EXPECT_GT(capped, 0u);
 }

@@ -10,7 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "opentla/ag/composition_theorem.hpp"
+#include "opentla/ag/propositions.hpp"
+#include "opentla/automata/freeze.hpp"
+#include "opentla/check/inclusion.hpp"
 #include "opentla/expr/analysis.hpp"
 #include "opentla/check/invariant.hpp"
 #include "opentla/check/refinement.hpp"
@@ -105,20 +110,21 @@ TEST_F(DoubleQueueTest, CompositionTheoremProvesFormulaFour) {
 
 TEST_F(DoubleQueueTest, OneWalkChecksH1AndH2a) {
   // Formula (4): H1[QE1], H1[QE2] and H2a by Propositions 3/4 are checked
-  // in one walk of H1's product, so each detail names the walk's pairs,
-  // one per product node (each configuration is a singleton).
+  // in one exploration of H1's product; no target dies, so it explores the
+  // whole product, one node per product node (each configuration is a
+  // singleton).
   ProofReport proved = verify_composition(sys.vars, sys.components(), sys.goal(), options());
   ASSERT_TRUE(proved.all_discharged()) << proved.to_string();
-  std::size_t walk_targets = 0;
+  std::size_t product_targets = 0;
   for (const Obligation& ob : proved.obligations) {
     if (ob.method != "product-inclusion" && ob.method != "product-inclusion(prop3)") continue;
-    ++walk_targets;
-    EXPECT_NE(ob.detail.find("product nodes: 670, pairs: 670"), std::string::npos) << ob.detail;
+    ++product_targets;
+    EXPECT_EQ(ob.detail, "product nodes: 670");
   }
-  EXPECT_EQ(walk_targets, 3u);
+  EXPECT_EQ(product_targets, 3u);
   // Formula (3): both H1 targets die, each with its own shortest
-  // counterexample, in one walk of 108 pairs; one walk per target took 48
-  // and 106.
+  // counterexample, and the exploration stops at the second death, after
+  // 108 of the product's 670 nodes.
   std::vector<AGSpec> components = {{sys.qe1, sys.qm1}, {sys.qe2, sys.qm2}};
   ProofReport refuted = verify_composition(sys.vars, components, sys.goal(), options());
   std::vector<std::string> details;
@@ -126,9 +132,9 @@ TEST_F(DoubleQueueTest, OneWalkChecksH1AndH2a) {
     if (ob.id.rfind("H1[", 0) == 0) details.push_back(ob.detail);
   }
   ASSERT_EQ(details.size(), 2u);
-  EXPECT_NE(details[0].find("pairs: 108\ncounterexample (5 states)"), std::string::npos)
+  EXPECT_EQ(details[0].rfind("product nodes: 108\ncounterexample (5 states)", 0), 0u)
       << details[0];
-  EXPECT_NE(details[1].find("pairs: 108\ncounterexample (7 states)"), std::string::npos)
+  EXPECT_EQ(details[1].rfind("product nodes: 108\ncounterexample (7 states)", 0), 0u)
       << details[1];
 }
 
@@ -188,9 +194,8 @@ TEST_F(DoubleQueueTest, FreezeBreakingStepIsExploredBesideAnotherMoversStep) {
   // product. Its C(QE^dbl)_{+v} admits one step that breaks QE^dbl. The
   // product explores such a step beside another mover's action step, where
   // QE^dbl's subscript ranges freely, and never alone. Formula (3) at N = 1
-  // fails H2a on a 1170-node product (it starts from every initial state of
-  // C(QM^1) /\ C(QM^2), Init_QE^dbl or not) with a 3-state counterexample:
-  // its last step is QM^1's Enq (i.ack flips) with o.ack flipping although
+  // fails H2a with a 3-state counterexample, found after 42 nodes: its
+  // last step is QM^1's Enq (i.ack flips) with o.ack flipping although
   // o.sig = o.ack, which no QE^dbl step allows.
   std::vector<AGSpec> components = {{sys.qe1, sys.qm1}, {sys.qe2, sys.qm2}};
   ProofReport report = verify_composition(sys.vars, components, sys.goal(), options());
@@ -202,12 +207,42 @@ TEST_F(DoubleQueueTest, FreezeBreakingStepIsExploredBesideAnotherMoversStep) {
   EXPECT_FALSE(h2a->discharged);
   EXPECT_FALSE(h2a->inconclusive);
   EXPECT_EQ(h2a->method, "product-inclusion(freeze)");
-  EXPECT_NE(h2a->detail.find("product nodes: 1170,"), std::string::npos) << h2a->detail;
+  EXPECT_EQ(h2a->detail.rfind("product nodes: 42\n", 0), 0u) << h2a->detail;
   EXPECT_NE(h2a->detail.find("counterexample (3 states)"), std::string::npos) << h2a->detail;
   for (const std::string var : {"i.ack", "o.ack"}) {
     EXPECT_NE(traced_value(h2a->detail, 1, var), traced_value(h2a->detail, 2, var)) << var;
   }
   EXPECT_EQ(traced_value(h2a->detail, 1, "o.sig"), traced_value(h2a->detail, 1, "o.ack"));
+
+  // The whole freeze product, as the verifier builds it, checked against a
+  // target that never dies: 1170 nodes, because it starts from every
+  // initial state of C(QM^1) /\ C(QM^2), Init_QE^dbl or not.
+  const AGSpec goal = sys.goal();
+  const std::vector<VarId> normalize = {sys.q1, sys.q2, sys.q};
+  std::vector<VarId> plus_v;
+  for (VarId v = 0; v < sys.vars.size(); ++v) {
+    if (std::find(normalize.begin(), normalize.end(), v) == normalize.end()) plus_v.push_back(v);
+  }
+  std::vector<std::shared_ptr<const SafetyMachine>> constraints = {std::make_shared<FreezeMachine>(
+      std::make_shared<PrefixMachine>(sys.vars, goal.assumption), plus_v)};
+  std::vector<Mover> movers = {mover_from_spec(goal.assumption, 0, normalize)};
+  std::vector<Expr> inits;
+  for (const AGSpec& c : components) {
+    const CanonicalSpec closure = prop1_closure(c.guarantee).closure;
+    movers.push_back(mover_from_spec(closure, static_cast<int>(constraints.size()), normalize));
+    constraints.push_back(std::make_shared<PrefixMachine>(sys.vars, closure));
+    inits.push_back(closure.init);
+  }
+  const ConstraintExplorer freeze(sys.vars, constraints, movers, ex::land(std::move(inits)),
+                                  normalize);
+  CanonicalSpec always;
+  always.name = "TRUE";
+  always.init = ex::top();
+  always.next = ex::top();
+  const ConstraintExplorer::Verdict whole = freeze.check_target(PrefixMachine(sys.vars, always));
+  EXPECT_TRUE(whole.holds);
+  EXPECT_EQ(whole.stop_reason, run::StopReason::kCompleted);
+  EXPECT_EQ(whole.nodes, 1170u);
 }
 
 TEST_F(DoubleQueueTest, H2bBuildGeneratesNoMoreCandidatesThanItKeeps) {

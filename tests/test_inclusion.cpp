@@ -50,8 +50,9 @@ TEST_F(InclusionTest, HoldsForImpliedBound) {
   std::vector<Mover> movers = {mover_from_spec(sx, 0, {y})};
   ConstraintExplorer explorer(vars, constraints, movers, sx.init, {y});
   PrefixMachine target(vars, bound(x, 2, "Bound2"));
-  EXPECT_TRUE(explorer.check_target(target).holds);
-  EXPECT_GE(explorer.num_nodes(), 3u);
+  const ConstraintExplorer::Verdict verdict = explorer.check_target(target);
+  EXPECT_TRUE(verdict.holds);
+  EXPECT_GE(verdict.nodes, 3u);
 }
 
 TEST_F(InclusionTest, FailsForTighterBoundWithTrace) {
@@ -81,9 +82,10 @@ TEST_F(InclusionTest, MultipleTargetsShareOneExploration) {
 }
 
 TEST_F(InclusionTest, OneWalkChecksEveryTarget) {
-  // Three targets in one walk: B2 holds, B0 dies on the first step and B1
-  // on the second. Each verdict matches the target's own walk, and the
-  // joint walk interns fewer pairs than the three walks together.
+  // Three targets in one exploration: B2 holds, B0 dies on the first step
+  // and B1 on the second. Each verdict matches the target's own check; the
+  // joint check explores the whole product, as the holding B2 needs, and
+  // fewer nodes than the three checks together.
   CanonicalSpec sx = stepper(x, "SX");
   std::vector<std::shared_ptr<const SafetyMachine>> constraints = {
       std::make_shared<PrefixMachine>(vars, sx)};
@@ -94,22 +96,43 @@ TEST_F(InclusionTest, OneWalkChecksEveryTarget) {
   PrefixMachine b1(vars, bound(x, 1, "B1"));
   const std::vector<ConstraintExplorer::Verdict> joint = explorer.check_targets({&b2, &b0, &b1});
   ASSERT_EQ(joint.size(), 3u);
-  std::size_t separate_pairs = 0;
+  std::size_t separate_nodes = 0;
   for (const auto& [verdict, target] :
        {std::pair{joint[0], &b2}, std::pair{joint[1], &b0}, std::pair{joint[2], &b1}}) {
     const ConstraintExplorer::Verdict single = explorer.check_target(*target);
-    separate_pairs += single.pairs_visited;
+    separate_nodes += single.nodes;
     EXPECT_EQ(verdict.target_name, target->name());
     EXPECT_EQ(verdict.holds, single.holds) << target->name();
     EXPECT_EQ(verdict.counterexample, single.counterexample) << target->name();
-    EXPECT_EQ(verdict.pairs_visited, joint[0].pairs_visited);
+    EXPECT_EQ(verdict.nodes, joint[0].nodes);
     EXPECT_EQ(verdict.stop_reason, run::StopReason::kCompleted);
   }
   EXPECT_TRUE(joint[0].holds);
   EXPECT_EQ(joint[1].counterexample.size(), 2u);
   EXPECT_EQ(joint[2].counterexample.size(), 3u);
-  EXPECT_EQ(joint[0].pairs_visited, explorer.num_nodes());
-  EXPECT_LT(joint[0].pairs_visited, separate_pairs);
+  // x = 0, 1, 2, each with one singleton configuration per target.
+  EXPECT_EQ(joint[0].nodes, 3u);
+  EXPECT_LT(joint[0].nodes, separate_nodes);
+}
+
+TEST_F(InclusionTest, ExplorationStopsOnceEveryTargetHasDied) {
+  // B0 dies at the first step: nothing expands after it, so x = 2 is
+  // never reached. B0 and B1 together stop at B1's death, one step later.
+  CanonicalSpec sx = stepper(x, "SX");
+  std::vector<std::shared_ptr<const SafetyMachine>> constraints = {
+      std::make_shared<PrefixMachine>(vars, sx)};
+  std::vector<Mover> movers = {mover_from_spec(sx, 0, {y})};
+  ConstraintExplorer explorer(vars, constraints, movers, sx.init, {y});
+  PrefixMachine b0(vars, bound(x, 0, "B0"));
+  PrefixMachine b1(vars, bound(x, 1, "B1"));
+  const ConstraintExplorer::Verdict early = explorer.check_target(b0);
+  EXPECT_FALSE(early.holds);
+  EXPECT_EQ(early.nodes, 2u);
+  const std::vector<ConstraintExplorer::Verdict> both = explorer.check_targets({&b0, &b1});
+  EXPECT_EQ(both[0].counterexample, early.counterexample);
+  EXPECT_EQ(both[1].counterexample.size(), 3u);
+  EXPECT_EQ(both[0].nodes, 3u);
+  EXPECT_EQ(both[0].stop_reason, run::StopReason::kCompleted);
 }
 
 TEST_F(InclusionTest, HiddenSourceMoversUseMachineConfigs) {
@@ -235,10 +258,11 @@ TEST_F(InclusionTest, NodeLimitStopsGracefully) {
   ExploreOptions opts;
   opts.max_states = 1;
   ConstraintExplorer explorer(vars, constraints, movers, sx.init, {y}, opts);
-  EXPECT_EQ(explorer.num_nodes(), 1u);
-  EXPECT_EQ(explorer.stop_reason(), run::StopReason::kStateBudget);
-  // A verdict computed on the capped product is marked partial.
-  auto verdict = explorer.check_target(*constraints[0]);
+  // A target that never dies: the cap stops the exploration at one node,
+  // and the verdict found no violation only on that partial product.
+  const ConstraintExplorer::Verdict verdict = explorer.check_target(*constraints[0]);
+  EXPECT_EQ(verdict.nodes, 1u);
+  EXPECT_TRUE(verdict.holds);
   EXPECT_EQ(verdict.stop_reason, run::StopReason::kStateBudget);
 }
 

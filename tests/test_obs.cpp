@@ -12,6 +12,7 @@
 #include <sstream>
 #include <thread>
 
+#include "opentla/graph/conjunction.hpp"
 #include "opentla/graph/state_graph.hpp"
 #include "opentla/graph/successor.hpp"
 #include "opentla/obs/export.hpp"
@@ -166,8 +167,11 @@ TEST_F(ObsTest, RenderJsonGolden) {
   snap.counters[static_cast<std::size_t>(obs::Counter::StatesGenerated)] = 2;
   snap.counters[static_cast<std::size_t>(obs::Counter::SuccessorsEnumerated)] = 5;
   snap.counters[static_cast<std::size_t>(obs::Counter::CompositeFilterChecks)] = 3;
+  // 5 candidates generated, 4 kept: waste_ratio = 5 / 4.
+  snap.counters[static_cast<std::size_t>(obs::Counter::CandidatesGenerated)] = 5;
+  snap.counters[static_cast<std::size_t>(obs::Counter::CandidatesKept)] = 4;
   snap.gauges[static_cast<std::size_t>(obs::Gauge::PeakGraphStates)] = 7;
-  // One expansion that kept 4 edges: waste_ratio = 5 / 4.
+  // One expansion with 4 edges.
   obs::HistogramSnapshot& fanout =
       snap.hists[static_cast<std::size_t>(obs::Histogram::SuccessorFanout)];
   fanout.buckets[3] = 1;  // the value 4 lands in (2, 4]
@@ -217,7 +221,9 @@ TEST_F(ObsTest, RenderJsonGolden) {
       "    \"vm_instrs_executed\": 0,\n"
       "    \"fingerprint_collisions\": 0,\n"
       "    \"spill_segments\": 0,\n"
-      "    \"composite_filter_checks\": 3\n"
+      "    \"composite_filter_checks\": 3,\n"
+      "    \"candidates_generated\": 5,\n"
+      "    \"candidates_kept\": 4\n"
       "  },\n"
       "  \"gauges\": {\n"
       "    \"peak_configuration_count\": 0,\n"
@@ -680,7 +686,8 @@ TEST_F(ObsTest, RenderOpenMetricsExposition) {
   obs::count_labeled(obs::LabeledCounter::ActionFired, incr, 5);
   obs::hist_observe(obs::Histogram::SuccessorFanout, 0);
   obs::hist_observe(obs::Histogram::SuccessorFanout, 3);
-  obs::count(obs::Counter::SuccessorsEnumerated, 6);
+  obs::count(obs::Counter::CandidatesGenerated, 6);
+  obs::count(obs::Counter::CandidatesKept, 3);
   obs::count(obs::Counter::CompositeFilterChecks, 4);
   const std::string text = obs::render_openmetrics(obs::snapshot());
 
@@ -701,7 +708,7 @@ TEST_F(ObsTest, RenderOpenMetricsExposition) {
             std::string::npos);
   EXPECT_NE(text.find("opentla_successor_fanout_sum 3\n"), std::string::npos);
   EXPECT_NE(text.find("opentla_successor_fanout_count 2\n"), std::string::npos);
-  // 6 candidates for the 3 kept edges.
+  // 6 candidates generated for the 3 kept.
   EXPECT_NE(text.find("# TYPE opentla_waste_ratio gauge\nopentla_waste_ratio 2\n"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE opentla_composite_filter_checks counter\n"
@@ -830,11 +837,40 @@ TEST_F(ObsTest, BytesPerStateDividesTrackedPeakByPeakStates) {
 
 TEST_F(ObsTest, WasteRatioDividesCandidatesByKeptEdges) {
   obs::Snapshot snap;
-  EXPECT_EQ(snap.waste_ratio(), 0.0);  // no fanout recorded: no division
-  snap.counters[static_cast<std::size_t>(obs::Counter::SuccessorsEnumerated)] = 9;
+  EXPECT_EQ(snap.waste_ratio(), 0.0);  // nothing kept: no division
+  snap.counters[static_cast<std::size_t>(obs::Counter::CandidatesGenerated)] = 12;
   EXPECT_EQ(snap.waste_ratio(), 0.0);
-  snap.hists[static_cast<std::size_t>(obs::Histogram::SuccessorFanout)].sum = 12;
-  EXPECT_DOUBLE_EQ(snap.waste_ratio(), 0.75);
+  snap.counters[static_cast<std::size_t>(obs::Counter::CandidatesKept)] = 9;
+  EXPECT_DOUBLE_EQ(snap.waste_ratio(), 12.0 / 9.0);
+  // Neither the successors ActionSuccessors enumerates elsewhere nor the
+  // edges of other explorations (self-loops, searches) move it.
+  snap.counters[static_cast<std::size_t>(obs::Counter::SuccessorsEnumerated)] = 100;
+  snap.hists[static_cast<std::size_t>(obs::Histogram::SuccessorFanout)].sum = 1000;
+  EXPECT_DOUBLE_EQ(snap.waste_ratio(), 12.0 / 9.0);
+}
+
+TEST_F(ObsTest, WasteRatioCountsWhereTheConjunctionKeepsOrDropsACandidate) {
+  if (!obs::compile_time_enabled()) {
+    GTEST_SKIP() << "engine instrumentation compiled out (-DOPENTLA_OBS=OFF)";
+  }
+  // x counts to 3, and the caller drops x' = 2. Every generated candidate
+  // is counted once, and only those the caller keeps are kept.
+  VarTable vars;
+  const VarId x = vars.declare("x", range_domain(0, 3));
+  StepMover count;
+  count.next = ex::land(ex::lt(ex::var(x), ex::integer(3)),
+                        ex::eq(ex::primed_var(x), ex::add(ex::var(x), ex::integer(1))));
+  count.sub = {x};
+  const ConjunctionSuccessors steps(vars, {count}, {});
+  obs::ScopedSink sink;
+  for (std::int64_t v = 0; v <= 3; ++v) {
+    steps.for_each_successor(State({Value::integer(v)}),
+                             [&](const State& t) { return t[x].as_int() != 2; });
+  }
+  const obs::Snapshot snap = sink.take();
+  EXPECT_EQ(snap.counter(obs::Counter::CandidatesGenerated), 3u);
+  EXPECT_EQ(snap.counter(obs::Counter::CandidatesKept), 2u);
+  EXPECT_DOUBLE_EQ(snap.waste_ratio(), 1.5);
 }
 
 TEST_F(ObsTest, OpenMetricsCarriesMemorySeries) {

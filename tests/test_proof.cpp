@@ -73,11 +73,11 @@ TEST(ProofReport, EveryLineOfADetailIsIndented) {
   ob.id = "H2a";
   ob.description = "d";
   ob.method = "m";
-  ob.detail = "product nodes: 3, pairs: 3\nnot by Propositions 3/4: why\ncounterexample (1 states):\n"
+  ob.detail = "product nodes: 3\nnot by Propositions 3/4: why\ncounterexample (1 states):\n"
               "  state 0: x = 0\n";
   report.add(ob);
   const std::string text = report.to_string();
-  EXPECT_NE(text.find("\n        product nodes: 3, pairs: 3\n"
+  EXPECT_NE(text.find("\n        product nodes: 3\n"
                       "        not by Propositions 3/4: why\n"
                       "        counterexample (1 states):\n"
                       "          state 0: x = 0\n"

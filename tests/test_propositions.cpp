@@ -164,8 +164,8 @@ TEST(Prop3Route, DischargesH2aForTheDoubleQueue) {
   ASSERT_NE(h1, nullptr);
   ASSERT_NE(h2a, nullptr);
   EXPECT_EQ(h2a->method, "product-inclusion(prop3)");
-  EXPECT_NE(h2a->detail.find("product nodes: 670,"), std::string::npos) << h2a->detail;
-  EXPECT_NE(h1->detail.find("product nodes: 670,"), std::string::npos) << h1->detail;
+  EXPECT_EQ(h2a->detail, "product nodes: 670");
+  EXPECT_EQ(h1->detail, "product nodes: 670");
 }
 
 TEST(Prop3Route, FallsBackToTheFreezeProductWithoutG) {

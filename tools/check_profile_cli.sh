@@ -6,9 +6,9 @@
 #      section (tracked_peak_bytes, bytes_per_state), and `profile compose`
 #      on specs/ag_queue prints a waste_ratio of at most 1; the counters
 #      table's composite_filter_checks row reads 0 for a plain `check` and
-#      more than 0 for that composition; its trace records one target walk
-#      (ConstraintExplorer.target_walk) under fig9:2.1, which checks H1's
-#      targets and H2a together, and no per-target search;
+#      more than 0 for that composition; its trace records one product
+#      exploration (ConstraintExplorer.explore) under fig9:2.1, which checks
+#      H1's targets and H2a as it runs, and no walk of a built product;
 #   2. --format folded emits the collapsed-stack format flamegraph.pl
 #      consumes ("name[;name...] <count>" per line, nothing else), both
 #      with a live sampler (--sample-hz) and from recorded spans alone;
@@ -89,16 +89,18 @@ filter_checks() {
 checks="$(filter_checks "$out")"
 [ "$checks" = "0" ] || fail "profile check on peterson.tla: composite_filter_checks '$checks', want 0"
 
-# The waste ratio (successors_enumerated over the successor_fanout sum) is
-# printed, so nobody divides the two by hand. On the ag_queue composition
-# with G every component's steps are generated alone: at most 1.
+# The waste ratio (candidates_generated over candidates_kept, both counted
+# where the step generator's candidates are kept or dropped) is printed,
+# so nobody divides the two by hand. It is at least 1; on the ag_queue
+# composition with G every component's steps are generated alone, so no
+# candidate is generated only to be filtered away: at most 1.
 ag="$specs/ag_queue"
 out="$("$tlacheck" profile compose --constraint "$ag/g.tla" \
         --component "$ag/qe1.tla,$ag/qm1.tla" --component "$ag/qe2.tla,$ag/qm2.tla" \
         --goal "$ag/qedbl.tla,$ag/qmdbl.tla" \
         --witness 'q=q2 \o (IF z.sig # z.ack THEN <<z.val>> ELSE <<>>) \o q1')" \
   || fail "profile compose on ag_queue failed with $?"
-ratio="$(sed -n 's/^  waste_ratio \([0-9.]*\) (successors_enumerated [0-9]* \/ successor_fanout sum [0-9]*)$/\1/p' <<<"$out")"
+ratio="$(sed -n 's/^  waste_ratio \([0-9.]*\) (candidates_generated [0-9]* \/ candidates_kept [0-9]*)$/\1/p' <<<"$out")"
 [ -n "$ratio" ] || fail "profile compose lacks the waste_ratio line"
 python3 -c "import sys; sys.exit(0 if 0 < float('$ratio') <= 1.0 else 1)" \
   || fail "ag_queue compose waste_ratio $ratio is not in (0, 1]"
@@ -108,32 +110,36 @@ checks="$(filter_checks "$out")"
   || fail "profile compose on ag_queue: composite_filter_checks '$checks', want > 0"
 echo "ok: composite_filter_checks reads 0 for check, $checks for compose"
 
-# One walk of H1's product checks every target on it (formula (4): H1[QE1],
-# H1[QE2] and H2a by Propositions 3/4): one target-walk span, inside
-# fig9:2.1 and outside every per-obligation span, and no per-target search.
+# One exploration of H1's product checks every target on it as it runs
+# (formula (4): H1[QE1], H1[QE2] and H2a by Propositions 3/4): one
+# exploration span, inside fig9:2.1 and outside every per-obligation span,
+# and no walk of a built product.
 "$tlacheck" profile compose --constraint "$ag/g.tla" \
   --component "$ag/qe1.tla,$ag/qm1.tla" --component "$ag/qe2.tla,$ag/qm2.tla" \
   --goal "$ag/qedbl.tla,$ag/qmdbl.tla" \
   --witness 'q=q2 \o (IF z.sig # z.ack THEN <<z.val>> ELSE <<>>) \o q1' \
   --format trace --out "$workdir/compose.json" > /dev/null \
   || fail "profile compose --format trace on ag_queue failed with $?"
-python3 - "$workdir/compose.json" <<'PY' || fail "profile compose: the target walk is not one span under fig9:2.1"
+python3 - "$workdir/compose.json" <<'PY' || fail "profile compose: the product is not one exploration under fig9:2.1"
 import json, sys
 spans = [e for e in json.load(open(sys.argv[1]))["traceEvents"] if e.get("ph") == "X"]
 def named(name):
     return [e for e in spans if e["name"] == name]
 def inside(inner, outer):
     return outer["ts"] <= inner["ts"] and inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
-walks = named("ConstraintExplorer.target_walk")
-assert len(walks) == 1, f"{len(walks)} target walks, want 1"
+explorations = named("ConstraintExplorer.explore")
+assert len(explorations) == 1, f"{len(explorations)} product explorations, want 1"
 h1 = named("fig9:2.1")
-assert len(h1) == 1 and inside(walks[0], h1[0]), "the walk is not inside fig9:2.1"
+assert len(h1) == 1 and inside(explorations[0], h1[0]), "the exploration is not inside fig9:2.1"
 steps = [e for e in spans if e["name"].startswith("fig9:2.1.") or e["name"] == "fig9:2.2"]
 assert len(steps) == 4, [e["name"] for e in steps]
-assert not any(inside(walks[0], e) for e in steps), "the walk sits in one obligation's span"
-assert not named("ConstraintExplorer.check_target"), "a per-target search span remains"
+assert not any(inside(explorations[0], e) for e in steps), \
+    "the exploration sits in one obligation's span"
+walks = [e["name"] for e in spans
+         if e["name"] in ("ConstraintExplorer.target_walk", "ConstraintExplorer.check_target")]
+assert not walks, f"a walk of the built product remains: {walks}"
 PY
-echo "ok: profile compose records one target walk under fig9:2.1"
+echo "ok: profile compose records one product exploration under fig9:2.1"
 
 # --- 2. Folded format: flamegraph.pl's collapsed-stack contract. ---
 
